@@ -1,19 +1,40 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise."""
+"""The subset-sum kernel, evaluated as scalars modulo one prime.
 
-from math import comb
+Pick a prime p = 1 (mod n) above the query's L1 bound plus SPARE_BITS
+and a w with Phi_n(w) = 0 (mod p).  Then x -> w is a ring map from
+Z[x]/Phi_n to Z/p, every root of unity becomes a power of w, and each
+per-subset term of the sum is one residue:
 
-from . import _kernel_pure
+    genus 0:   Delta_S * D_S        D = prod(rho) * (-1)^(k(k-1)/2) * prod_{i<j}(rho_i - rho_j)^2
+    genus 1:   Delta_S
+    genus g:   Delta_S * R_S^(g-1)  R = prod_{rho in S, tau not in S}(rho - tau)
 
-try:
-    from . import _kernel as _compiled
-except ImportError:
-    _compiled = None
+with Delta_S the product of the elementary symmetric values sigma_j(S)
+over the requested indices.  Neither D nor R needs an inverse.  The full
+sum is a rational integer of absolute value below 2^term_bound_bits, so
+its symmetric residue mod p is the integer itself; the caller lifts it,
+checks it against the bound, and applies the sign and the genus-0
+division by n^k.  The map stays a ring map whether or not p is prime,
+so correctness rests on the Phi_n check, not on the primality test.
+This is the multi-modular method (von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 5) with a single prime.
+"""
 
-HAVE_COMPILED = _compiled is not None
+from itertools import combinations, islice
+from math import comb, gcd, prod
+
+from .cyclotomic import cyclotomic_polynomial
+
+SPARE_BITS = 64
+_PRIMORIAL = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+
+# (n, bits) -> (p, w); filling it twice is harmless
+_FIELDS = {}
 
 
 def backend_name():
-    return "compiled" if HAVE_COMPILED else "pure"
+    """Name of the kernel lane; there is one, pure Python."""
+    return "pure"
 
 
 def term_bound_bits(n, k, genus, sigma_indices, count):
@@ -28,16 +49,72 @@ def term_bound_bits(n, k, genus, sigma_indices, count):
     return (bound * max(count, 1)).bit_length()
 
 
-def subset_power_sum(n, k, genus, sigma_indices, lo, hi, backend=None):
-    """Dispatch the subset-sum loop; both implementations agree exactly."""
-    sigma_indices = tuple(sorted(sigma_indices))
-    if backend in (None, "auto"):
-        backend = "compiled" if HAVE_COMPILED else "pure"
-    if backend == "compiled":
-        if _compiled is None:
-            raise RuntimeError("compiled kernel not built")
-        fits = term_bound_bits(n, k, genus, sigma_indices, hi - lo) <= 62
-        return _compiled.subset_power_sum(n, k, genus, sigma_indices, lo, hi, fits)
-    if backend == "pure":
-        return _kernel_pure.subset_power_sum(n, k, genus, sigma_indices, lo, hi)
-    raise ValueError("unknown backend %r" % (backend,))
+def _root_of_phi(n, p):
+    """A w with Phi_n(w) = 0 (mod p), or None after a few tries."""
+    phi = cyclotomic_polynomial(n)
+    for a in range(2, 40):
+        w = pow(a, (p - 1) // n, p)
+        acc = 0
+        for c in reversed(phi):
+            acc = (acc * w + c) % p
+        if acc == 0:
+            return w
+    return None
+
+
+def field(n, k, genus, sigma_indices):
+    """(bits, p, w) for one query, shared by every chunk of its sum.
+
+    bits is term_bound_bits over all C(n, k) subsets, p = 1 (mod n) lies
+    above 2^(bits + SPARE_BITS), and Phi_n(w) = 0 (mod p).
+    """
+    bits = term_bound_bits(n, k, genus, sigma_indices, comb(n, k))
+    got = _FIELDS.get((n, bits))
+    if got is None:
+        p = ((1 << (bits + SPARE_BITS)) // n + 1) * n + 1
+        while True:
+            if p % 2 and gcd(p, _PRIMORIAL) == 1 and pow(2, p - 1, p) == 1:
+                w = _root_of_phi(n, p)
+                if w is not None:
+                    break
+            p += n
+        got = _FIELDS[(n, bits)] = (p, w)
+    return (bits,) + got
+
+
+def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
+    """Sum of the per-subset terms over lex ranks [lo, hi), mod field(...)'s p."""
+    _, p, w = field(n, k, genus, sigma_indices)
+    roots = [pow(w, c, p) for c in range(n)]
+    diff = [[(a - b) % p for b in roots] for a in roots]
+    jmax = max(sigma_indices, default=0)
+    d_sign = -1 if (k * (k - 1) // 2) % 2 else 1
+    everything = set(range(n))
+    acc = 0
+    for subset in islice(combinations(range(n), k), lo, hi):
+        delta = 1
+        if jmax:
+            e = [1] + [0] * jmax
+            for seen, c in enumerate(subset, 1):
+                x = roots[c]
+                for j in range(min(jmax, seen), 0, -1):
+                    e[j] = (e[j] + e[j - 1] * x) % p
+            delta = prod(e[j] for j in sigma_indices) % p
+        if genus == 1:
+            acc += delta
+        elif genus == 0:
+            v = 1
+            for i, a in enumerate(subset):
+                row = diff[a]
+                for b in subset[i + 1:]:
+                    v = v * row[b] % p
+            acc += delta * d_sign * v * v % p * roots[sum(subset) % n] % p
+        else:
+            rest = everything.difference(subset)
+            r = 1
+            for a in subset:
+                row = diff[a]
+                for t in rest:
+                    r = r * row[t] % p
+            acc += delta * pow(r, genus - 1, p) % p
+    return acc % p

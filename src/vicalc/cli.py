@@ -1,10 +1,11 @@
 """Batch front end: parse queries, dispatch, render text, JSON, or CSV.
 
-Exit codes: 0 success, 2 usage error, 3 inadmissible query (the requested
-value does not exist: degree condition violated, non-integral sign
-exponent, zero class under a negative power), 4 internal invariant
-violation (the algebra promised something the computation broke, e.g. a
-non-rational final value).
+Exit codes: 0 success, 2 usage error (including a --workers or
+VI_WORKERS value that is not a nonnegative integer), 3 inadmissible
+query (the requested value does not exist: degree condition violated,
+non-integral sign exponent, zero class under a negative power), 4
+internal invariant violation (the algebra promised something the
+computation broke, e.g. a subset sum outside its L1 bound).
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips.  A batch file holds one
@@ -22,7 +23,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from .cyclotomic import root_power_sum
-from .engine import InadmissibleQueryError, InvariantQuery, count_maximal, evaluate
+from .engine import (
+    InadmissibleQueryError,
+    InvariantQuery,
+    WorkerCountError,
+    count_maximal,
+    evaluate,
+    worker_count,
+)
 from .parabolic import (
     MarkedPoint,
     ParabolicData,
@@ -183,12 +191,6 @@ def _run_count_max(ns):
     try:
         result = count_maximal(ns.n, ns.d, ns.k, ns.g, convention=convention)
     except ZeroDivisionError as ex:
-        raise InadmissibleQueryError(str(ex))
-    except ValueError as ex:
-        # parameters were validated above, so a ValueError here is the
-        # non-integral sign exponent: the formula assigns no value
-        if "non-rational" in str(ex):
-            raise
         raise InadmissibleQueryError(str(ex))
     if ns.format == "json":
         return _json_line({"value": _rat(result.value), "integral": result.integral})
@@ -391,8 +393,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--convention", choices=("paper", "dual"), default=None)
-    common.add_argument("--workers", type=int, default=0,
-                        help="worker count, 0 = auto; VI_WORKERS overrides")
+    common.add_argument("--workers", type=worker_count, default=0,
+                        help="worker count, 0 = auto, capped at the CPU count; "
+                             "VI_WORKERS overrides")
     common.add_argument("--paper-literal", action="store_true",
                         help="refused: see the message for the ambiguity")
 
@@ -521,7 +524,7 @@ def _execute(argv):
         return _execute_batch(ns)
     try:
         return 0, _RUNNERS[ns.command](ns), ""
-    except UsageError as ex:
+    except (UsageError, WorkerCountError) as ex:
         return 2, "", "vicalc: error: %s\n" % ex
     except InadmissibleQueryError as ex:
         return 3, "", "vicalc: inadmissible query: %s\n" % ex
@@ -542,3 +545,7 @@ def main(argv=None):
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -302,19 +302,6 @@ def from_rational(n, value):
     return CyclotomicNumber(n, [Fraction(value)])
 
 
-def from_power_vector(n, vec):
-    """Element given by integer coordinates over 1, zeta, ..., zeta^(n-1) mod x^n - 1."""
-    _, deg, rows = _table(n)
-    out = [_ZERO] * deg
-    for t, c in enumerate(vec):
-        if c:
-            row = rows[t % n]
-            for j in range(deg):
-                if row[j]:
-                    out[j] += c * row[j]
-    return CyclotomicNumber(n, out)
-
-
 def root_power_sum(n, t):
     """Sum of rho^t over all n-th roots of unity: n when n | t, else 0."""
     return Fraction(n if t % n == 0 else 0)

@@ -18,11 +18,17 @@ unordered-pair form and must not be applied twice; calibration against
 the classical Schubert value <sigma_1^4> = 2 on Gr(2,4) and against the
 fusion-algebra oracle pins the version used here.
 
-The subset sum itself runs on integer vectors in Z[x]/(x^n - 1) via the
-identity prod(rho) * prod_{i != j}(rho_i - rho_j) = n^k / R_S with
-R_S = prod_{rho in S, tau not in S}(rho - tau), so for genus >= 1 the
-n-power prefactor cancels and the total is an algebraic integer; only
-genus 0 divides by n^k at the end.
+The identity prod(rho) * prod_{i != j}(rho_i - rho_j) = n^k / R_S with
+R_S = prod_{rho in S, tau not in S}(rho - tau) cancels the n-power
+prefactor for genus >= 1, so the subset sum is a rational integer; only
+genus 0 divides by n^k at the end.  vicalc.backend evaluates that sum in
+Z/p for one prime p = 1 (mod n), sending zeta_n to a root w of Phi_n mod
+p, with p more than 64 bits above backend.term_bound_bits.  The engine
+lifts the symmetric residue to the integer and checks it against the
+bound: a residue whose lift exceeds the bound means the evaluation is
+broken, and raises ArithmeticError (exit 4 on the command line) instead
+of returning a wrong value.  A corrupted residue slips through with
+probability below 2^-64.
 """
 
 import os
@@ -31,14 +37,16 @@ from fractions import Fraction
 from math import comb
 
 from . import backend
-from .cyclotomic import CyclotomicNumber, from_power_vector, zeta
+from .cyclotomic import CyclotomicNumber, zeta
 from .symfunc import elementary_symmetric
 
 CONVENTIONS = ("paper", "dual")
 
 
 class InadmissibleQueryError(ValueError):
-    """Raised when the weighted degree of the monomial misses the target."""
+    """Raised when the requested value does not exist: the weighted degree
+    of the monomial misses the target, or count_maximal's sign exponent is
+    not an integer."""
 
 
 @dataclass(frozen=True)
@@ -146,31 +154,50 @@ def degree_reduce(query):
     ]
 
 
+class WorkerCountError(ValueError):
+    """Raised when --workers or VI_WORKERS is not a nonnegative integer."""
+
+
+def worker_count(text, source="worker count"):
+    """Parse a worker count; the command line uses this as its --workers type."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise WorkerCountError("%s must be a nonnegative integer, got %r" % (source, text))
+    return value
+
+
 def resolve_workers(requested, total_terms):
-    """VI_WORKERS beats the explicit request; 0 asks for an automatic choice."""
+    """VI_WORKERS beats the explicit request; 0 asks for an automatic choice.
+
+    Every count is capped at os.cpu_count().
+    """
+    cpus = os.cpu_count() or 1
     env = os.environ.get("VI_WORKERS")
     if env:
-        return max(1, int(env))
+        return min(max(1, worker_count(env, "VI_WORKERS")), cpus)
+    requested = worker_count(requested)
     if requested:
-        return max(1, requested)
-    if total_terms >= 50000 and (os.cpu_count() or 1) > 1:
-        return min(4, os.cpu_count())
+        return min(requested, cpus)
+    if total_terms >= 50000 and cpus > 1:
+        return min(4, cpus)
     return 1
 
 
 def _chunk(args):
-    n, k, genus, sig, lo, hi, kernel = args
-    return backend.subset_power_sum(n, k, genus, sig, lo, hi, backend=kernel)
+    return backend.subset_power_sum(*args)
 
 
-def _summed_vector(n, k, genus, sig, workers, kernel):
+def _summed_residue(n, k, genus, sig, workers):
     total = comb(n, k)
     workers = min(workers, total)
     if workers <= 1:
-        return backend.subset_power_sum(n, k, genus, sig, 0, total, backend=kernel)
+        return backend.subset_power_sum(n, k, genus, sig, 0, total)
     bounds = [total * w // workers for w in range(workers + 1)]
     jobs = [
-        (n, k, genus, sig, bounds[w], bounds[w + 1], kernel)
+        (n, k, genus, sig, bounds[w], bounds[w + 1])
         for w in range(workers)
         if bounds[w] < bounds[w + 1]
     ]
@@ -178,14 +205,10 @@ def _summed_vector(n, k, genus, sig, workers, kernel):
 
     with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
         parts = pool.map(_chunk, jobs)
-    acc = [0] * n
-    for part in parts:
-        for t in range(n):
-            acc[t] += part[t]
-    return acc
+    return sum(parts)
 
 
-def vi_invariant(query, workers=0, kernel=None):
+def vi_invariant(query, workers=0):
     """Exact invariant for a d=0 query; see the module docstring for the sum."""
     if query.d != 0:
         raise ValueError("bundle degree must be 0 here; route through degree_reduce")
@@ -194,20 +217,23 @@ def vi_invariant(query, workers=0, kernel=None):
     sig = sigma_indices(query)
     total = comb(n, k)
     nworkers = resolve_workers(workers, total)
-    vec = _summed_vector(n, k, genus, sig, nworkers, kernel)
-    try:
-        rat = from_power_vector(n, vec).to_rational()
-    except ValueError as ex:
-        raise ValueError("convention miscalibration: %s" % ex)
-    value = Fraction(sign_factor(query.e, k)) * rat
+    bits, p, _ = backend.field(n, k, genus, sig)
+    lifted = _summed_residue(n, k, genus, sig, nworkers) % p
+    if lifted > p // 2:
+        lifted -= p
+    if lifted.bit_length() > bits:
+        raise ArithmeticError(
+            "subset sum %d exceeds its %d-bit bound mod p=%d" % (lifted, bits, p)
+        )
+    value = Fraction(sign_factor(query.e, k) * lifted)
     if genus == 0:
         value /= Fraction(n) ** k
     return InvariantResult(value=value, terms_summed=total, integral=value.denominator == 1)
 
 
-def evaluate(query, workers=0, kernel=None):
+def evaluate(query, workers=0):
     """Evaluate any query, routing nonzero bundle degree through degree_reduce."""
-    return vi_invariant(degree_reduce(query)[0], workers=workers, kernel=kernel)
+    return vi_invariant(degree_reduce(query)[0], workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +287,8 @@ def count_maximal(n, d, k, genus, convention="dual"):
     with Delta = sigma_k(S) under "dual" (the reading consistent with the
     exponent b-g+1 absorbing the root-product factor) or sigma_1(S) under
     "paper".  The sign exponent (k-1)(bk - (g-1)k^2/n) must be an integer;
-    otherwise this raises rather than guessing a parity.
+    otherwise this raises InadmissibleQueryError rather than guessing a
+    parity.
     """
     if n < 2 or not 0 < k < n:
         raise ValueError("need 0 < k < n with n >= 2, got k=%d n=%d" % (k, n))
@@ -273,7 +300,7 @@ def count_maximal(n, d, k, genus, convention="dual"):
     b = a * n - d
     expo_num = (k - 1) * (b * k * n - (genus - 1) * k * k)
     if expo_num % n:
-        raise ValueError(
+        raise InadmissibleQueryError(
             "non-integral sign exponent (k-1)(bk - (g-1)k^2/n) for n=%d k=%d g=%d b=%d"
             % (n, k, genus, b)
         )

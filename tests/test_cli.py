@@ -1,10 +1,14 @@
 """Command line surface: formats, exit codes, batch files, worker knobs."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import vicalc
 from vicalc.cli import PAPER_LITERAL_REFUSAL, _execute, main
 
 
@@ -211,6 +215,30 @@ def test_env_overrides_workers_flag(monkeypatch):
     free = run(*argv)
     assert forced == free
     assert forced[0] == 0
+
+
+def test_bad_worker_counts_exit_2(monkeypatch):
+    argv = ["vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0"]
+    code, out, err = run(*argv, "--workers", "-3")
+    assert (code, out) == (2, "")
+    assert "--workers" in err
+    monkeypatch.setenv("VI_WORKERS", "abc")
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert "VI_WORKERS must be a nonnegative integer" in err
+
+
+def test_module_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(vicalc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vicalc.cli", "vi", "--n", "4", "--k", "2", "--g", "0",
+         "--e", "0", "--monomial", "1,1,1,1", "--convention", "dual", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == "2"
 
 
 def test_batch_runs_in_input_order(tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from vicalc.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
-    from_power_vector,
     from_rational,
     root_power_sum,
     zeta,
@@ -109,17 +108,6 @@ def test_root_power_sum_matches_explicit_sum():
             expected = root_power_sum(n, t)
             assert total == from_rational(n, expected), (n, t)
             assert expected == (n if t % n == 0 else 0)
-
-
-def test_from_power_vector_matches_zeta_sum():
-    rng = random.Random(20243)
-    for n in ORDERS:
-        vec = [rng.randint(-8, 8) for _ in range(n)]
-        direct = from_power_vector(n, vec)
-        total = from_rational(n, 0)
-        for c, coeff in enumerate(vec):
-            total = total + from_rational(n, coeff) * zeta(n, c)
-        assert direct == total
 
 
 def test_to_rational():

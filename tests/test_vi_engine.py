@@ -9,9 +9,11 @@ from math import comb, factorial
 import pytest
 
 from vicalc import backend
+from vicalc.cli import _execute
 from vicalc.engine import (
     InadmissibleQueryError,
     InvariantQuery,
+    WorkerCountError,
     check_admissible,
     count_maximal,
     degree_reduce,
@@ -102,7 +104,7 @@ def test_genus_one_counts_subsets():
             assert r.value == comb(n, k)
 
 
-def test_kernel_matches_reference():
+def test_subset_sum_matches_reference(monkeypatch):
     rng = random.Random(52)
     for n in range(2, 7):
         for k in range(1, n):
@@ -110,22 +112,16 @@ def test_kernel_matches_reference():
                 queries = admissible_queries(n, k, g, 5)
                 for q in rng.sample(queries, min(4, len(queries))):
                     assert vi_invariant(q).value == vi_reference(q).value, q
-
-
-def test_backends_agree():
-    if not backend.HAVE_COMPILED:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(53)
-    for n in (5, 8, 11):
-        for k in (1, 2, 3):
-            for g in (0, 1, 2, 3):
-                sig = tuple(sorted(rng.randint(1, k) for _ in range(3)))
-                total = comb(n, k)
-                lo = rng.randrange(total)
-                hi = rng.randrange(lo, total) + 1
-                assert backend.subset_power_sum(
-                    n, k, g, sig, lo, hi, backend="pure"
-                ) == backend.subset_power_sum(n, k, g, sig, lo, hi, backend="compiled")
+    # a bound that under-reports must trip the check, not return a value
+    q = InvariantQuery(6, 2, 2, -2, monomial=(2, 2), convention="dual")
+    assert vi_invariant(q).value == 315
+    monkeypatch.setattr(backend, "term_bound_bits", lambda *args: 4)
+    with pytest.raises(ArithmeticError, match="bound"):
+        vi_invariant(q)
+    code, out, err = _execute(["vi", "--n", "6", "--k", "2", "--g", "2", "--e=-2",
+                               "--monomial", "2,2", "--convention", "dual"])
+    assert (code, out) == (4, "")
+    assert "internal invariant violation" in err and "bound" in err
 
 
 def test_subset_sum_equals_tuple_sum_term_exact():
@@ -195,14 +191,46 @@ def test_parallel_matches_serial():
     serial = vi_invariant(q, workers=1)
     forked = vi_invariant(q, workers=3)
     assert serial == forked
+    # any split of the rank range into [lo, hi) chunks sums to the full residue
+    rng = random.Random(57)
+    for n, k, g in ((5, 2, 0), (8, 3, 1), (10, 3, 2), (11, 4, 3)):
+        sig = tuple(sorted(rng.randint(1, k) for _ in range(3)))
+        total = comb(n, k)
+        p = backend.field(n, k, g, sig)[1]
+        full = backend.subset_power_sum(n, k, g, sig, 0, total)
+        assert 0 <= full < p
+        for _ in range(3):
+            cuts = sorted(rng.sample(range(1, total), rng.randint(1, 4)))
+            edges = [0] + cuts + [total]
+            parts = [backend.subset_power_sum(n, k, g, sig, lo, hi)
+                     for lo, hi in zip(edges, edges[1:])]
+            assert sum(parts) % p == full, (n, k, g, sig, edges)
 
 
 def test_resolve_workers_env_override(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("VI_WORKERS", "5")
     assert resolve_workers(1, 10 ** 6) == 5
     monkeypatch.delenv("VI_WORKERS")
     assert resolve_workers(3, 10) == 3
     assert resolve_workers(0, 10) == 1
+
+
+def test_resolve_workers_is_validated_and_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("VI_WORKERS", "999")
+    assert resolve_workers(0, 10) == 2
+    monkeypatch.setenv("VI_WORKERS", "0")
+    assert resolve_workers(3, 10) == 1
+    for bad in ("abc", "-3", "2.5"):
+        monkeypatch.setenv("VI_WORKERS", bad)
+        with pytest.raises(WorkerCountError, match="VI_WORKERS"):
+            resolve_workers(1, 10)
+    monkeypatch.delenv("VI_WORKERS")
+    assert resolve_workers(16, 10) == 2
+    assert resolve_workers(0, 10 ** 6) == 2
+    with pytest.raises(WorkerCountError):
+        resolve_workers(-3, 10)
 
 
 def test_convention_duality():
