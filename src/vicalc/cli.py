@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (including a --workers or
 VI_WORKERS value that is not a nonnegative integer), 3 inadmissible
-query (the requested value does not exist: degree condition violated,
-non-integral sign exponent, zero class under a negative power), 4
-internal invariant violation (the algebra promised something the
+query (the requested value does not exist: degree condition violated),
+4 internal invariant violation (the algebra promised something the
 computation broke, e.g. a subset sum outside its L1 bound).
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
@@ -39,15 +38,6 @@ from .parabolic import (
     weights_from_equivariant,
 )
 from .symfunc import Partition, partitions_in_box, quantum_product
-
-SUBCOMMANDS = (
-    "vi",
-    "count-max",
-    "qh-table",
-    "parabolic-degree",
-    "s-invariant",
-    "corollary-report",
-)
 
 PAPER_LITERAL_REFUSAL = """\
 vicalc: error: --paper-literal refused: the unrepaired prefactor
@@ -183,15 +173,11 @@ def _run_vi(ns):
 
 
 def _run_count_max(ns):
-    convention = ns.convention or "dual"
-    if ns.n < 2 or not 0 < ns.k < ns.n:
-        raise UsageError("need 0 < k < n with n >= 2, got k=%d n=%d" % (ns.k, ns.n))
-    if ns.g < 0:
-        raise UsageError("genus must be nonnegative")
+    convention = ns.convention or "dual"  # echoed only: the count does not depend on it
     try:
-        result = count_maximal(ns.n, ns.d, ns.k, ns.g, convention=convention)
-    except ZeroDivisionError as ex:
-        raise InadmissibleQueryError(str(ex))
+        result = count_maximal(ns.n, ns.d, ns.k, ns.g)
+    except ValueError as ex:
+        raise UsageError(str(ex))
     if ns.format == "json":
         return _json_line({"value": _rat(result.value), "integral": result.integral})
     if ns.format == "csv":
@@ -345,7 +331,7 @@ def _run_corollary_report(ns):
         raise UsageError("need n >= 2")
     if ns.g < 0:
         raise UsageError("genus must be nonnegative")
-    derived = count_maximal(ns.n, ns.d, 1, ns.g, convention="dual").value
+    derived = count_maximal(ns.n, ns.d, 1, ns.g).value
     a = -(-ns.d // ns.n)
     b = a * ns.n - ns.d
     closed = Fraction(ns.n) ** (ns.g - 1) * root_power_sum(ns.n, b - ns.g + 1)
@@ -464,7 +450,7 @@ def _job_to_argv(job):
     if not isinstance(job, dict):
         raise UsageError("job line must be a JSON object")
     sub = job.get("subcommand")
-    if sub not in SUBCOMMANDS:
+    if sub not in _RUNNERS:
         raise UsageError("unknown subcommand %r" % (sub,))
     argv = [sub, "--format", job.get("output_format", "text")]
     if job.get("convention"):

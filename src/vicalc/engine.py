@@ -32,7 +32,7 @@ probability below 2^-64.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -45,8 +45,7 @@ CONVENTIONS = ("paper", "dual")
 
 class InadmissibleQueryError(ValueError):
     """Raised when the requested value does not exist: the weighted degree
-    of the monomial misses the target, or count_maximal's sign exponent is
-    not an integer."""
+    of the monomial misses the target."""
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,11 @@ def twist_reduce(query, line_degree):
 def degree_reduce(query):
     """Rewrite bundle degree d = a*n - b, 0 <= b < n, into a d=0 query.
 
-    The factor lost with each unit of b is one top-exponent insertion, so
-    the reduced monomial gains b copies of k and e drops by a*k.
+    The reduced monomial gains b copies of the label k and e drops by a*k.
+    Under "dual" label k is sigma_k, the top class; under "paper" it is
+    sigma_1.  So a nonzero d does not commute with the a <-> k-a+1 map:
+    the paper twin of an admissible dual query with d != 0 reduces to a
+    query that misses the degree condition.
     """
     if query.d == 0:
         return [query]
@@ -193,19 +195,19 @@ def _chunk(args):
 def _summed_residue(n, k, genus, sig, workers):
     total = comb(n, k)
     workers = min(workers, total)
-    if workers <= 1:
-        return backend.subset_power_sum(n, k, genus, sig, 0, total)
-    bounds = [total * w // workers for w in range(workers + 1)]
-    jobs = [
-        (n, k, genus, sig, bounds[w], bounds[w + 1])
-        for w in range(workers)
-        if bounds[w] < bounds[w + 1]
-    ]
-    import multiprocessing
+    if workers > 1:
+        import multiprocessing
 
-    with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-        parts = pool.map(_chunk, jobs)
-    return sum(parts)
+        if "fork" in multiprocessing.get_all_start_methods():  # not on Windows
+            bounds = [total * w // workers for w in range(workers + 1)]
+            jobs = [
+                (n, k, genus, sig, bounds[w], bounds[w + 1])
+                for w in range(workers)
+                if bounds[w] < bounds[w + 1]
+            ]
+            with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
+                return sum(pool.map(_chunk, jobs))
+    return backend.subset_power_sum(n, k, genus, sig, 0, total)
 
 
 def vi_invariant(query, workers=0):
@@ -277,61 +279,25 @@ def vi_reference(query):
 # ---------------------------------------------------------------------------
 # maximal-subbundle counts
 
-def count_maximal(n, d, k, genus, convention="dual"):
-    """Count of maximal subbundles via the reduced root-of-unity sum.
+def count_maximal(n, d, k, genus):
+    """Count of maximal subbundles m(n, d, k, g), as one dual query.
 
-    Writes d = a*n - b with 0 <= b < n and evaluates
+    Writes d = a*n - b with 0 <= b < n.  The Intriligator-Vafa count is
 
-        sign * n^(k(g-1)) * sum_S Delta_S^(b-g+1) / prod_{i!=j}(rho_i-rho_j)^(g-1)
+        sign * n^(k(g-1)) * sum_S sigma_k(S)^(b-g+1) / prod_{i!=j}(rho_i-rho_j)^(g-1)
 
-    with Delta = sigma_k(S) under "dual" (the reading consistent with the
-    exponent b-g+1 absorbing the root-product factor) or sigma_1(S) under
-    "paper".  The sign exponent (k-1)(bk - (g-1)k^2/n) must be an integer;
-    otherwise this raises InadmissibleQueryError rather than guessing a
-    parity.
+    and since sigma_k(S) = prod(rho), this is the dual query with monomial
+    (k,)*b and e = (k(n-k)(1-g) - k*b)/n, evaluated by vi_invariant.  Its
+    sign (-1)^(e(k-1)) is the one the fusion oracle confirms, so counts
+    are nonnegative (Holla, "Counting maximal subbundles via Gromov-Witten
+    invariants", Math. Ann. 2004).  When e is not an integer the degree
+    condition fails: rotating S multiplies every term by a nontrivial n-th
+    root of unity, so the sum is 0, which is returned with C(n, k) terms.
+    The labelling a <-> k-a+1 does not change the count.
     """
-    if n < 2 or not 0 < k < n:
-        raise ValueError("need 0 < k < n with n >= 2, got k=%d n=%d" % (k, n))
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    if convention not in CONVENTIONS:
-        raise ValueError("unknown convention %r" % (convention,))
-    a = -(-d // n)
-    b = a * n - d
-    expo_num = (k - 1) * (b * k * n - (genus - 1) * k * k)
-    if expo_num % n:
-        raise InadmissibleQueryError(
-            "non-integral sign exponent (k-1)(bk - (g-1)k^2/n) for n=%d k=%d g=%d b=%d"
-            % (n, k, genus, b)
-        )
-    sign = -1 if (expo_num // n) % 2 else 1
-    from itertools import combinations
-
-    total = CyclotomicNumber(n, [])
-    count = 0
-    delta_exp = b - genus + 1
-    for subset in combinations(range(n), k):
-        roots = [zeta(n, c) for c in subset]
-        if convention == "dual":
-            delta = elementary_symmetric(k, roots)
-        else:
-            delta = elementary_symmetric(1, roots)
-        if isinstance(delta, Fraction):
-            delta = CyclotomicNumber(n, [delta])
-        if delta.is_zero() and delta_exp < 0:
-            raise ZeroDivisionError(
-                "zero insertion class raised to a negative power under "
-                "convention %r" % (convention,)
-            )
-        term = delta ** delta_exp
-        pairs = CyclotomicNumber(n, [1])
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    pairs = pairs * (roots[i] - roots[j])
-        term = term * pairs ** (1 - genus)
-        total = total + term
-        count += 1
-    alpha = k * (genus - 1)
-    value = Fraction(sign) * Fraction(n) ** alpha * total.to_rational()
-    return InvariantResult(value=value, terms_summed=count, integral=value.denominator == 1)
+    query = InvariantQuery(n, k, genus, 0)  # validates n before the division by n
+    b = -d % n
+    e, rest = divmod(k * (n - k) * (1 - genus) - k * b, n)
+    if rest:
+        return InvariantResult(value=Fraction(0), terms_summed=comb(n, k), integral=True)
+    return vi_invariant(replace(query, e=e, monomial=(k,) * b, convention="dual"))

@@ -19,6 +19,7 @@ from vicalc.cli import _execute
 from vicalc.cyclotomic import root_power_sum
 from vicalc.engine import (
     InvariantQuery,
+    count_maximal,
     degree_reduce,
     evaluate,
     reference_term,
@@ -27,7 +28,7 @@ from vicalc.engine import (
     vi_invariant,
     vi_reference,
 )
-from vicalc.fusion import correlator_genus_g, oracle_compare
+from vicalc.fusion import correlator_genus_g, oracle_compare, oracle_value
 
 
 def admissible_suite(n, k, g, max_len):
@@ -183,6 +184,32 @@ def test_every_admissible_value_is_an_integer():
                     continue
                 q = InvariantQuery(n, 1, g, (shift - m) // n, monomial=(1,) * m)
                 assert vi_invariant(q).integral, q
+
+
+def test_maximal_subbundle_counts_match_the_oracle():
+    # m(n, d, k, g) is the dual query with monomial (k,)*b when e is an
+    # integer and 0 off the degree condition; no count is negative
+    admissible = 0
+    started = time.perf_counter()
+    for n in range(2, 8):
+        for k in range(1, n):
+            for g in range(4):
+                for d in range(2 * n):
+                    b = -d % n
+                    e, rest = divmod(k * (n - k) * (1 - g) - k * b, n)
+                    got = count_maximal(n, d, k, g)
+                    if rest:
+                        expected = 0
+                    else:
+                        admissible += 1
+                        expected = oracle_value(InvariantQuery(
+                            n, k, g, e, monomial=(k,) * b, convention="dual"))
+                    assert got.value == expected, (n, d, k, g)
+                    assert got.value >= 0 and got.integral
+                    assert got.terms_summed == comb(n, k)
+    elapsed = time.perf_counter() - started
+    assert admissible == 208
+    assert elapsed < 30.0, "count sweep took %.2fs" % elapsed
 
 
 def test_corollary_report_shows_claim_next_to_derivation():

@@ -68,17 +68,15 @@ def test_inadmissible_query_exits_3():
     assert "degree condition violated" in err
 
 
-def test_count_max_sign_exponent_exits_3():
-    code, out, err = run("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2")
-    assert code == 3
-    assert "non-integral sign exponent" in err
-
-
-def test_count_max_zero_power_exits_3():
-    code, out, err = run("count-max", "--n", "4", "--d", "8", "--k", "2",
-                         "--g", "2", "--convention", "paper")
-    assert code == 3
-    assert "negative power" in err
+def test_count_max_sign_settled_by_oracle():
+    # the fusion oracle gives 9 and 224 on the dual (k,)*b queries
+    for n, d, k, g, value in ((3, 1, 2, 2, "9"), (4, 2, 2, 3, "224")):
+        for convention in ("dual", "paper"):
+            code, out, err = run("count-max", "--n", str(n), "--d", str(d), "--k", str(k),
+                                 "--g", str(g), "--convention", convention,
+                                 "--format", "json")
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"value": value, "integral": True}
 
 
 def test_s_invariant_rational_round_trip():
@@ -184,6 +182,12 @@ def test_usage_errors_exit_2():
     assert run("vi", "--n", "4")[0] == 2
     assert run("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
                "--monomial", "spam")[0] == 2
+    # count-max shapes are checked before anything divides by n
+    code, out, err = run("count-max", "--n", "0", "--d", "1", "--k", "1", "--g", "0")
+    assert (code, out) == (2, "")
+    assert "need 0 < k < n with n >= 2" in err
+    code, out, err = run("count-max", "--n", "4", "--d", "1", "--k", "2", "--g", "-1")
+    assert (code, out, err) == (2, "", "vicalc: error: genus must be nonnegative\n")
 
 
 def test_internal_failure_exits_4(monkeypatch):

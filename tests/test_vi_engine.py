@@ -207,6 +207,21 @@ def test_parallel_matches_serial():
             assert sum(parts) % p == full, (n, k, g, sig, edges)
 
 
+def test_runs_serially_where_fork_is_unavailable(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was requested without fork")
+
+    q = InvariantQuery(10, 3, 2, -3, monomial=(3, 3, 3), convention="dual")
+    serial = vi_invariant(q, workers=1)
+    monkeypatch.delenv("VI_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert vi_invariant(q, workers=3) == serial
+
+
 def test_resolve_workers_env_override(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("VI_WORKERS", "5")
@@ -269,18 +284,17 @@ def test_count_maximal_closed_form_rank_one():
 
 
 def test_count_maximal_conventions_and_guards():
-    # k=1 is convention independent
-    for d in range(0, 5):
-        assert count_maximal(3, d, 1, 2, "paper").value == \
-            count_maximal(3, d, 1, 2, "dual").value
-    # non-integral sign exponent: n=3, k=2, g=2 makes (g-1)k^2/n = 4/3
-    with pytest.raises(ValueError, match="non-integral sign exponent"):
-        count_maximal(3, 1, 2, 2)
-    # paper Delta = sigma_1 vanishes on balanced subsets; negative power raises
-    with pytest.raises(ZeroDivisionError):
-        count_maximal(4, 8, 2, 2, convention="paper")
+    # the count does not depend on the labelling: a <-> k-a+1 sends the
+    # dual (k,)*b query to the paper (1,)*b query
+    for n, d, k, g in ((3, 1, 2, 2), (4, 2, 2, 3), (5, 2, 3, 2), (6, 2, 3, 1)):
+        b = -d % n
+        e = (k * (n - k) * (1 - g) - k * b) // n
+        paper = InvariantQuery(n, k, g, e, monomial=(1,) * b, convention="paper")
+        assert count_maximal(n, d, k, g).value == vi_invariant(paper).value
     with pytest.raises(ValueError):
         count_maximal(4, 1, 0, 1)
+    with pytest.raises(ValueError):
+        count_maximal(0, 1, 1, 1)
 
 
 def test_results_integral_across_suites():
