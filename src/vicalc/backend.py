@@ -10,7 +10,16 @@ per-subset term of the sum is one residue:
     genus g:   Delta_S * R_S^(g-1)  R = prod_{rho in S, tau not in S}(rho - tau)
 
 with Delta_S the product of the elementary symmetric values sigma_j(S)
-over the requested indices.  Neither D nor R needs an inverse.  The full
+over the requested indices.  Neither D nor R needs an inverse.
+
+Only the subsets that contain 0 are visited.  Rotating S by one step
+multiplies its term by zeta_n to the term's total degree, which is
+-e*n = 0 (mod n) exactly when the query meets the degree condition.  On
+such a query every term is rotation invariant, so counting pairs (S, s)
+with s in S gives k * sum_S = n * sum_{S containing 0}, and the kernel
+returns (n/k) times the smaller sum.  On an inadmissible query the
+reduction is wrong, which is why vi_invariant checks admissibility
+before it calls the kernel.  The full
 sum is a rational integer of absolute value below 2^term_bound_bits, so
 its symmetric residue mod p is the integer itself; the caller lifts it,
 checks it against the bound, and applies the sign and the genus-0
@@ -63,7 +72,7 @@ def _root_of_phi(n, p):
 
 
 def field(n, k, genus, sigma_indices):
-    """(bits, p, w) for one query, shared by every chunk of its sum.
+    """(bits, p, w) for one query, shared by every rank range of its sum.
 
     bits is term_bound_bits over all C(n, k) subsets, p = 1 (mod n) lies
     above 2^(bits + SPARE_BITS), and Phi_n(w) = 0 (mod p).
@@ -83,7 +92,12 @@ def field(n, k, genus, sigma_indices):
 
 
 def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
-    """Sum of the per-subset terms over lex ranks [lo, hi), mod field(...)'s p."""
+    """(n/k) times the terms of the subsets {0} + T, T over the lex ranks
+    [lo, hi) of combinations(range(1, n), k - 1), mod field(...)'s p.
+
+    Over [0, C(n-1, k-1)) this is the full sum over all C(n, k) subsets,
+    provided the query is admissible (see the module docstring).
+    """
     _, p, w = field(n, k, genus, sigma_indices)
     roots = [pow(w, c, p) for c in range(n)]
     diff = [[(a - b) % p for b in roots] for a in roots]
@@ -91,7 +105,8 @@ def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
     d_sign = -1 if (k * (k - 1) // 2) % 2 else 1
     everything = set(range(n))
     acc = 0
-    for subset in islice(combinations(range(n), k), lo, hi):
+    for tail in islice(combinations(range(1, n), k - 1), lo, hi):
+        subset = (0,) + tail
         delta = 1
         if jmax:
             e = [1] + [0] * jmax
@@ -117,4 +132,4 @@ def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
                 for t in rest:
                     r = r * row[t] % p
             acc += delta * pow(r, genus - 1, p) % p
-    return acc % p
+    return acc * n * pow(k, -1, p) % p

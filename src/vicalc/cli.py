@@ -1,16 +1,17 @@
 """Batch front end: parse queries, dispatch, render text, JSON, or CSV.
 
-Exit codes: 0 success, 2 usage error (including a --workers or
-VI_WORKERS value that is not a nonnegative integer), 3 inadmissible
-query (the requested value does not exist: degree condition violated),
-4 internal invariant violation (the algebra promised something the
-computation broke, e.g. a subset sum outside its L1 bound).
+Exit codes: 0 success, 2 usage error (including a --workers value that
+is not a nonnegative integer, and a batch line that is not a well-formed
+job), 3 inadmissible query (the requested value does not exist: degree
+condition violated), 4 internal invariant violation (the algebra
+promised something the computation broke, e.g. a subset sum outside its
+L1 bound).
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips.  A batch file holds one
-JSON job per line; outputs are emitted in input order no matter how the
-work is scheduled, and VI_WORKERS overrides any worker count on the
-command line.
+JSON job per line, run in input order.  Every query runs in this one
+process; --workers is still parsed and validated so that existing
+command lines keep working, but it has no effect.
 """
 
 import argparse
@@ -25,10 +26,8 @@ from .cyclotomic import root_power_sum
 from .engine import (
     InadmissibleQueryError,
     InvariantQuery,
-    WorkerCountError,
     count_maximal,
     evaluate,
-    worker_count,
 )
 from .parabolic import (
     MarkedPoint,
@@ -78,6 +77,17 @@ def _fraction_list(text):
     if not text:
         return []
     return [_fraction(tok) for tok in text.replace(",", " ").split()]
+
+
+def worker_count(text):
+    """The --workers type: a nonnegative integer, which is then ignored."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % (text,))
+    return value
 
 
 def _rat(value):
@@ -148,7 +158,7 @@ def _run_vi(ns):
         )
     except ValueError as ex:
         raise UsageError(str(ex))
-    result = evaluate(query, workers=ns.workers)
+    result = evaluate(query)
     if ns.format == "json":
         return _json_line({"value": _rat(result.value), "integral": result.integral})
     if ns.format == "csv":
@@ -380,8 +390,7 @@ def build_parser():
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--convention", choices=("paper", "dual"), default=None)
     common.add_argument("--workers", type=worker_count, default=0,
-                        help="worker count, 0 = auto, capped at the CPU count; "
-                             "VI_WORKERS overrides")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--paper-literal", action="store_true",
                         help="refused: see the message for the ambiguity")
 
@@ -446,18 +455,24 @@ def build_parser():
     return parser
 
 
+def _job_field(job, key, kind, default=None):
+    value = job.get(key, default)
+    if not isinstance(value, kind):
+        raise UsageError("%s must be a JSON %s, got %s" % (
+            key, "object" if kind is dict else "string", json.dumps(value)))
+    return value
+
+
 def _job_to_argv(job):
     if not isinstance(job, dict):
         raise UsageError("job line must be a JSON object")
     sub = job.get("subcommand")
-    if sub not in _RUNNERS:
+    if not isinstance(sub, str) or sub not in _RUNNERS:
         raise UsageError("unknown subcommand %r" % (sub,))
-    argv = [sub, "--format", job.get("output_format", "text")]
+    argv = [sub, "--format", _job_field(job, "output_format", str, "text")]
     if job.get("convention"):
-        argv += ["--convention", job["convention"]]
-    if job.get("parallelism"):
-        argv += ["--workers", str(job["parallelism"])]
-    for key, value in sorted(job.get("parameters", {}).items()):
+        argv += ["--convention", _job_field(job, "convention", str)]
+    for key, value in sorted(_job_field(job, "parameters", dict, {}).items()):
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, (list, tuple)):
             if key == "point":
@@ -510,7 +525,7 @@ def _execute(argv):
         return _execute_batch(ns)
     try:
         return 0, _RUNNERS[ns.command](ns), ""
-    except (UsageError, WorkerCountError) as ex:
+    except UsageError as ex:
         return 2, "", "vicalc: error: %s\n" % ex
     except InadmissibleQueryError as ex:
         return 3, "", "vicalc: inadmissible query: %s\n" % ex

@@ -23,7 +23,10 @@ R_S = prod_{rho in S, tau not in S}(rho - tau) cancels the n-power
 prefactor for genus >= 1, so the subset sum is a rational integer; only
 genus 0 divides by n^k at the end.  vicalc.backend evaluates that sum in
 Z/p for one prime p = 1 (mod n), sending zeta_n to a root w of Phi_n mod
-p, with p more than 64 bits above backend.term_bound_bits.  The engine
+p, with p more than 64 bits above backend.term_bound_bits.  It visits
+only the C(n-1, k-1) subsets that contain 0 and scales by n/k, which is
+exact because every term of an admissible sum is rotation invariant; the
+whole sum runs once, in the calling process.  The engine
 lifts the symmetric residue to the integer and checks it against the
 bound: a residue whose lift exceeds the bound means the evaluation is
 broken, and raises ArithmeticError (exit 4 on the command line) instead
@@ -31,7 +34,6 @@ of returning a wrong value.  A corrupted residue slips through with
 probability below 2^-64.
 """
 
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
@@ -156,71 +158,15 @@ def degree_reduce(query):
     ]
 
 
-class WorkerCountError(ValueError):
-    """Raised when --workers or VI_WORKERS is not a nonnegative integer."""
-
-
-def worker_count(text, source="worker count"):
-    """Parse a worker count; the command line uses this as its --workers type."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise WorkerCountError("%s must be a nonnegative integer, got %r" % (source, text))
-    return value
-
-
-def resolve_workers(requested, total_terms):
-    """VI_WORKERS beats the explicit request; 0 asks for an automatic choice.
-
-    Every count is capped at os.cpu_count().
-    """
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("VI_WORKERS")
-    if env:
-        return min(max(1, worker_count(env, "VI_WORKERS")), cpus)
-    requested = worker_count(requested)
-    if requested:
-        return min(requested, cpus)
-    if total_terms >= 50000 and cpus > 1:
-        return min(4, cpus)
-    return 1
-
-
-def _chunk(args):
-    return backend.subset_power_sum(*args)
-
-
-def _summed_residue(n, k, genus, sig, workers):
-    total = comb(n, k)
-    workers = min(workers, total)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():  # not on Windows
-            bounds = [total * w // workers for w in range(workers + 1)]
-            jobs = [
-                (n, k, genus, sig, bounds[w], bounds[w + 1])
-                for w in range(workers)
-                if bounds[w] < bounds[w + 1]
-            ]
-            with multiprocessing.get_context("fork").Pool(len(jobs)) as pool:
-                return sum(pool.map(_chunk, jobs))
-    return backend.subset_power_sum(n, k, genus, sig, 0, total)
-
-
-def vi_invariant(query, workers=0):
+def vi_invariant(query):
     """Exact invariant for a d=0 query; see the module docstring for the sum."""
     if query.d != 0:
         raise ValueError("bundle degree must be 0 here; route through degree_reduce")
-    _require_admissible(query)
+    _require_admissible(query)  # the kernel's rotation reduction needs it
     n, k, genus = query.n, query.k, query.g
     sig = sigma_indices(query)
-    total = comb(n, k)
-    nworkers = resolve_workers(workers, total)
     bits, p, _ = backend.field(n, k, genus, sig)
-    lifted = _summed_residue(n, k, genus, sig, nworkers) % p
+    lifted = backend.subset_power_sum(n, k, genus, sig, 0, comb(n - 1, k - 1))
     if lifted > p // 2:
         lifted -= p
     if lifted.bit_length() > bits:
@@ -230,12 +176,12 @@ def vi_invariant(query, workers=0):
     value = Fraction(sign_factor(query.e, k) * lifted)
     if genus == 0:
         value /= Fraction(n) ** k
-    return InvariantResult(value=value, terms_summed=total, integral=value.denominator == 1)
+    return InvariantResult(value=value, terms_summed=comb(n, k), integral=value.denominator == 1)
 
 
-def evaluate(query, workers=0):
+def evaluate(query):
     """Evaluate any query, routing nonzero bundle degree through degree_reduce."""
-    return vi_invariant(degree_reduce(query)[0], workers=workers)
+    return vi_invariant(degree_reduce(query)[0])
 
 
 # ---------------------------------------------------------------------------

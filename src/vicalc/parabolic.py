@@ -149,8 +149,7 @@ def weights_from_equivariant(group_order, exponents):
     return out
 
 
-def parabolic_vi(n, k, g, eps, group_order, weights, monomial=(),
-                 convention="paper", workers=0):
+def parabolic_vi(n, k, g, eps, group_order, weights, monomial=(), convention="paper"):
     """Parabolic invariant as the documented s-invariant composition.
 
     The budget s = s_invariant(n, k, g, eps, N, mu) replaces -n*e, so the
@@ -167,4 +166,4 @@ def parabolic_vi(n, k, g, eps, group_order, weights, monomial=(),
     query = InvariantQuery(
         n=n, k=k, g=g, e=int(quotient), monomial=tuple(monomial), convention=convention
     )
-    return vi_invariant(query, workers=workers)
+    return vi_invariant(query)

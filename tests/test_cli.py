@@ -1,6 +1,7 @@
-"""Command line surface: formats, exit codes, batch files, worker knobs."""
+"""Command line surface: formats, exit codes, batch files, the inert --workers."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -210,26 +211,33 @@ def test_workers_do_not_change_bytes():
     assert serial[0] == 0
 
 
-def test_env_overrides_workers_flag(monkeypatch):
-    argv = ["vi", "--n", "6", "--k", "2", "--g", "1", "--e", "0",
-            "--format", "json", "--workers", "4"]
-    monkeypatch.setenv("VI_WORKERS", "1")
-    forced = run(*argv)
-    monkeypatch.delenv("VI_WORKERS")
-    free = run(*argv)
-    assert forced == free
-    assert forced[0] == 0
-
-
-def test_bad_worker_counts_exit_2(monkeypatch):
+def test_bad_worker_counts_exit_2():
     argv = ["vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0"]
     code, out, err = run(*argv, "--workers", "-3")
     assert (code, out) == (2, "")
     assert "--workers" in err
-    monkeypatch.setenv("VI_WORKERS", "abc")
-    code, out, err = run(*argv)
-    assert (code, out) == (2, "")
-    assert "VI_WORKERS must be a nonnegative integer" in err
+
+
+def test_no_query_starts_a_process(monkeypatch, tmp_path):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a query asked for a process pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "get_context", no_process)
+    monkeypatch.setattr(multiprocessing, "Pool", no_process)
+    code, out, err = run("vi", "--n", "10", "--k", "3", "--g", "2", "--e=-3",
+                         "--monomial", "3,3,3", "--convention", "dual",
+                         "--format", "json", "--workers", "4")
+    assert (code, err) == (0, "")
+    code, out, err = run("count-max", "--n", "4", "--d", "2", "--k", "2", "--g", "3",
+                         "--format", "json", "--workers", "2")
+    assert (code, out, err) == (0, '{"value":"224","integral":true}\n', "")
+    path = tmp_path / "jobs.ndjson"
+    path.write_text(json.dumps({"subcommand": "vi", "output_format": "json",
+                                "parameters": {"n": 8, "k": 2, "g": 1, "e": 0},
+                                "parallelism": 2}) + "\n")
+    code, out, err = run("batch", str(path))
+    assert (code, out, err) == (0, '{"value":"28","integral":true}\n', "")
 
 
 def test_module_entry_point_runs():
@@ -276,6 +284,28 @@ def test_batch_rejects_bad_lines(tmp_path):
     assert "vicalc: batch line 1:" in err
     assert "vicalc: batch line 2:" in err
     assert run("batch", str(tmp_path / "missing.ndjson"))[0] == 2
+
+
+def test_batch_survives_malformed_fields(tmp_path):
+    good = json.dumps({"subcommand": "vi", "output_format": "json",
+                       "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}})
+    bad = [
+        {"subcommand": "vi", "parameters": [1, 2]},
+        {"subcommand": "vi", "output_format": 5, "parameters": {"n": 4}},
+        {"subcommand": "vi", "convention": 5, "parameters": {"n": 4}},
+        {"subcommand": [1]},
+    ]
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join([good] + [json.dumps(b) for b in bad] + [good]) + "\n")
+    code, out, err = run("batch", str(path))
+    assert code == 2
+    assert out == '{"value":"6","integral":true}\n' * 2
+    assert "Traceback" not in err
+    for needle in ("line 2: parameters must be a JSON object",
+                   "line 3: output_format must be a JSON string",
+                   "line 4: convention must be a JSON string",
+                   "line 5: unknown subcommand"):
+        assert "vicalc: batch " + needle in err
 
 
 def test_main_streams_and_code(capsys):

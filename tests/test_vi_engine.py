@@ -1,6 +1,5 @@
 """Root-of-unity engine: examples, reductions, kernels, and counts."""
 
-import os
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -13,7 +12,6 @@ from vicalc.cli import _execute
 from vicalc.engine import (
     InadmissibleQueryError,
     InvariantQuery,
-    WorkerCountError,
     check_admissible,
     count_maximal,
     degree_reduce,
@@ -21,7 +19,6 @@ from vicalc.engine import (
     monomial_weight,
     reference_term,
     required_weight,
-    resolve_workers,
     sigma_indices,
     twist_reduce,
     vi_invariant,
@@ -188,64 +185,22 @@ def test_degree_reduce_pipeline_matches_direct():
 def test_parallel_matches_serial():
     q = InvariantQuery(10, 3, 2, -3, monomial=(3, 3, 3), convention="dual")
     assert check_admissible(q)
-    serial = vi_invariant(q, workers=1)
-    forked = vi_invariant(q, workers=3)
-    assert serial == forked
-    # any split of the rank range into [lo, hi) chunks sums to the full residue
+    assert vi_invariant(q).value == vi_reference(q).value
+    # any split of the ranks of [0, C(n-1, k-1)), the subsets containing 0,
+    # into [lo, hi) ranges sums to the full residue
     rng = random.Random(57)
     for n, k, g in ((5, 2, 0), (8, 3, 1), (10, 3, 2), (11, 4, 3)):
         sig = tuple(sorted(rng.randint(1, k) for _ in range(3)))
-        total = comb(n, k)
+        total = comb(n - 1, k - 1)
         p = backend.field(n, k, g, sig)[1]
         full = backend.subset_power_sum(n, k, g, sig, 0, total)
         assert 0 <= full < p
         for _ in range(3):
-            cuts = sorted(rng.sample(range(1, total), rng.randint(1, 4)))
+            cuts = sorted(rng.sample(range(1, total), rng.randint(1, min(4, total - 1))))
             edges = [0] + cuts + [total]
             parts = [backend.subset_power_sum(n, k, g, sig, lo, hi)
                      for lo, hi in zip(edges, edges[1:])]
             assert sum(parts) % p == full, (n, k, g, sig, edges)
-
-
-def test_runs_serially_where_fork_is_unavailable(monkeypatch):
-    import multiprocessing
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was requested without fork")
-
-    q = InvariantQuery(10, 3, 2, -3, monomial=(3, 3, 3), convention="dual")
-    serial = vi_invariant(q, workers=1)
-    monkeypatch.delenv("VI_WORKERS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    assert vi_invariant(q, workers=3) == serial
-
-
-def test_resolve_workers_env_override(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setenv("VI_WORKERS", "5")
-    assert resolve_workers(1, 10 ** 6) == 5
-    monkeypatch.delenv("VI_WORKERS")
-    assert resolve_workers(3, 10) == 3
-    assert resolve_workers(0, 10) == 1
-
-
-def test_resolve_workers_is_validated_and_capped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("VI_WORKERS", "999")
-    assert resolve_workers(0, 10) == 2
-    monkeypatch.setenv("VI_WORKERS", "0")
-    assert resolve_workers(3, 10) == 1
-    for bad in ("abc", "-3", "2.5"):
-        monkeypatch.setenv("VI_WORKERS", bad)
-        with pytest.raises(WorkerCountError, match="VI_WORKERS"):
-            resolve_workers(1, 10)
-    monkeypatch.delenv("VI_WORKERS")
-    assert resolve_workers(16, 10) == 2
-    assert resolve_workers(0, 10 ** 6) == 2
-    with pytest.raises(WorkerCountError):
-        resolve_workers(-3, 10)
 
 
 def test_convention_duality():
