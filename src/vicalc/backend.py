@@ -12,25 +12,33 @@ per-subset term of the sum is one residue:
 with Delta_S the product of the elementary symmetric values sigma_j(S)
 over the requested indices.  Neither D nor R needs an inverse.
 
-Only the subsets that contain 0 are visited.  Rotating S by one step
+One term is computed per rotation orbit.  Rotating S by one step
 multiplies its term by zeta_n to the term's total degree, which is
--e*n = 0 (mod n) exactly when the query meets the degree condition.  On
-such a query every term is rotation invariant, so counting pairs (S, s)
-with s in S gives k * sum_S = n * sum_{S containing 0}, and the kernel
-returns (n/k) times the smaller sum.  On an inadmissible query the
-reduction is wrong, which is why vi_invariant checks admissibility
-before it calls the kernel.  The full
+-e*n, and zeta_n^(-e*n) = 1 exactly when the query meets the degree
+condition.  On such a query every term is rotation invariant, so the
+sum over all C(n, k) subsets is the sum over orbit representatives of
+orbit size times term.  Every orbit contains a subset {0} + T whose gap
+word (t1 - 0, t2 - t1, ..., n - t_(k-1)) is the least of its k
+rotations, and that subset is unique: it is the necklace of the orbit
+(Ruskey & Sawada, "An efficient algorithm for generating necklaces with
+fixed density", SIAM J. Comput. 1999).  If the gap word's smallest
+period is s, the subset is fixed by rotation through n*s/k steps, so
+the orbit has n*s/k members.  About C(n, k)/n terms are computed, not
+C(n, k).  On an inadmissible query the reduction is wrong, which is why
+vi_invariant checks admissibility before it calls the kernel.  The full
 sum is a rational integer of absolute value below 2^term_bound_bits, so
 its symmetric residue mod p is the integer itself; the caller lifts it,
 checks it against the bound, and applies the sign and the genus-0
 division by n^k.  The map stays a ring map whether or not p is prime,
-so correctness rests on the Phi_n check, not on the primality test.
+and the kernel takes no inverse mod p, so correctness rests on the
+Phi_n check, not on the primality test.
 This is the multi-modular method (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 5) with a single prime.
 """
 
 from itertools import combinations, islice
 from math import comb, gcd, prod
+from operator import sub
 
 from .cyclotomic import cyclotomic_polynomial
 
@@ -91,12 +99,36 @@ def field(n, k, genus, sigma_indices):
     return (bits,) + got
 
 
+def _orbit_representatives(n, k, lo, hi):
+    """(subset, orbit_size) for each necklace among the subsets {0} + T,
+    T over the lex ranks [lo, hi) of combinations(range(1, n), k - 1).
+
+    A subset is kept when its gap word is the least of its rotations;
+    each rotation orbit of k-subsets of range(n) has exactly one such
+    subset, so the orbit sizes over the whole rank range sum to C(n, k).
+    """
+    for tail in islice(combinations(range(1, n), k - 1), lo, hi):
+        subset = (0,) + tail
+        gaps = tuple(map(sub, tail + (n,), subset))
+        twice = gaps + gaps
+        for s in range(1, k + 1):
+            turned = twice[s:s + k]
+            if turned < gaps:
+                break
+            if turned == gaps:  # s is the smallest period; s = k always ends here
+                yield subset, n * s // k
+                break
+
+
 def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
-    """(n/k) times the terms of the subsets {0} + T, T over the lex ranks
-    [lo, hi) of combinations(range(1, n), k - 1), mod field(...)'s p.
+    """Sum of orbit size times term over the necklace subsets among {0} + T,
+    T over the lex ranks [lo, hi) of combinations(range(1, n), k - 1),
+    mod field(...)'s p.
 
     Over [0, C(n-1, k-1)) this is the full sum over all C(n, k) subsets,
-    provided the query is admissible (see the module docstring).
+    provided the query is admissible (see the module docstring); since
+    each orbit has one representative, any split of the ranks into
+    [lo, hi) ranges sums to that residue.
     """
     _, p, w = field(n, k, genus, sigma_indices)
     roots = [pow(w, c, p) for c in range(n)]
@@ -105,31 +137,31 @@ def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
     d_sign = -1 if (k * (k - 1) // 2) % 2 else 1
     everything = set(range(n))
     acc = 0
-    for tail in islice(combinations(range(1, n), k - 1), lo, hi):
-        subset = (0,) + tail
-        delta = 1
+    for subset, size in _orbit_representatives(n, k, lo, hi):
+        term = 1
         if jmax:
             e = [1] + [0] * jmax
             for seen, c in enumerate(subset, 1):
                 x = roots[c]
                 for j in range(min(jmax, seen), 0, -1):
                     e[j] = (e[j] + e[j - 1] * x) % p
-            delta = prod(e[j] for j in sigma_indices) % p
-        if genus == 1:
-            acc += delta
-        elif genus == 0:
+            term = prod(e[j] for j in sigma_indices) % p
+        if genus == 0:
             v = 1
             for i, a in enumerate(subset):
                 row = diff[a]
                 for b in subset[i + 1:]:
                     v = v * row[b] % p
-            acc += delta * d_sign * v * v % p * roots[sum(subset) % n] % p
-        else:
+            term = term * d_sign * v * v % p * roots[sum(subset) % n] % p
+        elif genus >= 2:
             rest = everything.difference(subset)
             r = 1
             for a in subset:
                 row = diff[a]
                 for t in rest:
                     r = r * row[t] % p
-            acc += delta * pow(r, genus - 1, p) % p
-    return acc * n * pow(k, -1, p) % p
+            term = term * pow(r, genus - 1, p) % p
+        acc += size * term
+    # only ring operations: no inverse mod p is taken, so a composite p
+    # still gives a ring map and the Phi_n check alone carries correctness
+    return acc % p

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -182,14 +182,15 @@ def test_degree_reduce_pipeline_matches_direct():
                     assert evaluate(twisted).value == vi_invariant(q).value, (q, d_l)
 
 
-def test_parallel_matches_serial():
+def test_rank_splits_sum_to_the_full_residue():
     q = InvariantQuery(10, 3, 2, -3, monomial=(3, 3, 3), convention="dual")
     assert check_admissible(q)
     assert vi_invariant(q).value == vi_reference(q).value
     # any split of the ranks of [0, C(n-1, k-1)), the subsets containing 0,
-    # into [lo, hi) ranges sums to the full residue
+    # into [lo, hi) ranges sums to the full residue; (12, 4) and (12, 6)
+    # have orbits with non-trivial stabilisers
     rng = random.Random(57)
-    for n, k, g in ((5, 2, 0), (8, 3, 1), (10, 3, 2), (11, 4, 3)):
+    for n, k, g in ((5, 2, 0), (8, 3, 1), (10, 3, 2), (11, 4, 3), (12, 4, 2), (12, 6, 0)):
         sig = tuple(sorted(rng.randint(1, k) for _ in range(3)))
         total = comb(n - 1, k - 1)
         p = backend.field(n, k, g, sig)[1]
@@ -201,6 +202,32 @@ def test_parallel_matches_serial():
             parts = [backend.subset_power_sum(n, k, g, sig, lo, hi)
                      for lo, hi in zip(edges, edges[1:])]
             assert sum(parts) % p == full, (n, k, g, sig, edges)
+
+
+def test_orbit_representatives_are_the_necklaces():
+    def phi(m):
+        return sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
+
+    for n in range(2, 17):
+        for k in range(1, n):
+            reps = list(backend._orbit_representatives(n, k, 0, comb(n - 1, k - 1)))
+            assert sum(size for _, size in reps) == comb(n, k), (n, k)
+            necklaces = sum(phi(d) * comb(n // d, k // d)
+                            for d in range(1, gcd(n, k) + 1) if gcd(n, k) % d == 0)
+            assert len(reps) * n == necklaces, (n, k)
+
+
+def test_periodic_shapes_match_reference():
+    # shapes with necklaces of smallest period below k, beyond the reach of
+    # the other reference sweeps; at n = 12 the fusion oracle is too slow
+    for n, k, g, e, mono in (
+        (8, 4, 0, 0, (4, 4, 4, 4)), (8, 4, 1, -1, (1, 3, 4)), (8, 4, 2, -3, (4, 4)),
+        (10, 2, 0, 1, (2, 2, 2)), (10, 2, 1, -1, (1, 1, 2, 2, 2, 2)), (10, 2, 2, -2, (1, 1, 2)),
+        (10, 5, 2, -3, (5,)),
+        (12, 4, 0, 2, (4, 4)), (12, 4, 2, -3, (2, 2)),
+    ):
+        q = InvariantQuery(n, k, g, e, monomial=mono, convention="dual")
+        assert vi_invariant(q).value == vi_reference(q).value, q
 
 
 def test_convention_duality():
