@@ -1,11 +1,17 @@
 """Batch front end: parse queries, dispatch, render text, JSON, or CSV.
 
+Options by subcommand: every query subcommand (vi, count-max, qh-table,
+parabolic-degree, s-invariant, corollary-report) takes --format; only vi
+and count-max take --convention and --workers; batch takes only its
+path.  One parser is built per process, and batch lines are parsed with
+it too.
+
 Exit codes: 0 success, 2 usage error (including a --workers value that
-is not a nonnegative integer, and a batch line that is not a well-formed
-job), 3 inadmissible query (the requested value does not exist: degree
-condition violated), 4 internal invariant violation (the algebra
-promised something the computation broke, e.g. a subset sum outside its
-L1 bound).
+is not a nonnegative integer, an option the subcommand does not take,
+and a batch line that is not a well-formed job), 3 inadmissible query
+(the requested value does not exist: degree condition violated), 4
+internal invariant violation (the algebra promised something the
+computation broke, e.g. a subset sum outside its L1 bound).
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips.  A batch file holds one
@@ -37,17 +43,6 @@ from .parabolic import (
     weights_from_equivariant,
 )
 from .symfunc import Partition, partitions_in_box, quantum_product
-
-PAPER_LITERAL_REFUSAL = """\
-vicalc: error: --paper-literal refused: the unrepaired prefactor
-  n^{k(g-1)} * (-1)^{(g-1)k(k-1)/2} / prod_{i!=j}(rho_i - rho_j)
-is ambiguous: the denominator can be read as the ordered product
-prod_{i!=j}(rho_i - rho_j) or as prod_{i<j}(rho_i - rho_j)^2, and the two
-readings differ by exactly (-1)^{k(k-1)/2} per subset, which the printed
-sign (-1)^{(g-1)k(k-1)/2} then double-counts.  The default evaluation uses
-the ordered denominator with sign (-1)^{e(k-1)}, which is the unique
-combination consistent with both readings.
-"""
 
 
 class UsageError(Exception):
@@ -386,13 +381,12 @@ _RUNNERS = {
 # parser and dispatch
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--convention", choices=("paper", "dual"), default=None)
-    common.add_argument("--workers", type=worker_count, default=0,
-                        help="accepted for compatibility; has no effect")
-    common.add_argument("--paper-literal", action="store_true",
-                        help="refused: see the message for the ambiguity")
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    query = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    query.add_argument("--convention", choices=("paper", "dual"), default=None)
+    query.add_argument("--workers", type=worker_count, default=0,
+                       help="accepted for compatibility; has no effect")
 
     parser = argparse.ArgumentParser(
         prog="vicalc",
@@ -400,7 +394,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("vi", parents=[common],
+    p = sub.add_parser("vi", parents=[query],
                        help="genus-g invariant on the degree-0 locus")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -410,28 +404,28 @@ def build_parser():
     p.add_argument("--monomial", default="",
                    help="insertion subscripts, comma separated")
 
-    p = sub.add_parser("count-max", parents=[common],
+    p = sub.add_parser("count-max", parents=[query],
                        help="maximal-subbundle count m(n,d,k,g)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
 
-    p = sub.add_parser("qh-table", parents=[common],
+    p = sub.add_parser("qh-table", parents=[formatted],
                        help="quantum product expansions over the box basis")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lhs", default=None, help="left partition, comma separated")
     p.add_argument("--rhs", default=None, help="right partition, comma separated")
 
-    p = sub.add_parser("parabolic-degree", parents=[common],
+    p = sub.add_parser("parabolic-degree", parents=[formatted],
                        help="ordinary degree plus weighted flag contributions")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--point", action="append", default=[],
                    help="marked point as weight:mult,weight:mult,...")
 
-    p = sub.add_parser("s-invariant", parents=[common],
+    p = sub.add_parser("s-invariant", parents=[formatted],
                        help="k(n-k)(g-1) + eps + N * sum of weights")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -442,14 +436,13 @@ def build_parser():
     p.add_argument("--exponents", default=None,
                    help="equivariant exponents, converted via --group-order")
 
-    p = sub.add_parser("corollary-report", parents=[common],
+    p = sub.add_parser("corollary-report", parents=[formatted],
                        help="published n^(ng) claim next to the formula value")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
 
-    p = sub.add_parser("batch", parents=[common],
-                       help="run one JSON job per line of a file")
+    p = sub.add_parser("batch", help="run one JSON job per line of a file")
     p.add_argument("path")
 
     return parser
@@ -485,9 +478,9 @@ def _job_to_argv(job):
     return argv
 
 
-def _execute_batch(ns):
+def _execute_batch(parser, path):
     try:
-        with open(ns.path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as ex:
         return 2, "", "vicalc: error: %s\n" % ex
@@ -503,7 +496,7 @@ def _execute_batch(ns):
             err_parts.append("vicalc: batch line %d: %s\n" % (lineno, ex))
             code = code or 2
             continue
-        job_code, job_out, job_err = _execute(argv)
+        job_code, job_out, job_err = _run(parser, argv)
         out_parts.append(job_out)
         if job_err:
             err_parts.append("batch line %d: %s" % (lineno, job_err))
@@ -511,18 +504,16 @@ def _execute_batch(ns):
     return code, "".join(out_parts), "".join(err_parts)
 
 
-def _execute(argv):
-    parser = build_parser()
+def _run(parser, argv):
+    """Parse argv with parser and run it: (exit code, stdout, stderr)."""
     out_buf, err_buf = io.StringIO(), io.StringIO()
     with redirect_stdout(out_buf), redirect_stderr(err_buf):
         try:
             ns = parser.parse_args(argv)
         except SystemExit as ex:
             return int(ex.code or 0), out_buf.getvalue(), err_buf.getvalue()
-    if ns.paper_literal:
-        return 2, "", PAPER_LITERAL_REFUSAL
     if ns.command == "batch":
-        return _execute_batch(ns)
+        return _execute_batch(parser, ns.path)
     try:
         return 0, _RUNNERS[ns.command](ns), ""
     except UsageError as ex:
@@ -531,6 +522,10 @@ def _execute(argv):
         return 3, "", "vicalc: inadmissible query: %s\n" % ex
     except Exception as ex:
         return 4, "", "vicalc: internal invariant violation: %s\n" % ex
+
+
+def _execute(argv):
+    return _run(build_parser(), argv)
 
 
 def main(argv=None):

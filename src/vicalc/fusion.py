@@ -146,7 +146,7 @@ class FusionAlgebra:
     def pairing_inverse(self):
         """Exact inverse of the pairing; integer because the determinant is a unit."""
         if self._pairing_inv is None:
-            inv = _invert_fraction_matrix(self.pairing())
+            inv = _invert_matrix(self.pairing(), Fraction(1))
             out = []
             for row in inv:
                 r = []
@@ -189,19 +189,21 @@ class FusionAlgebra:
         return Fraction(self.counit(v))
 
 
-def _invert_fraction_matrix(mat):
+def _invert_matrix(mat, one):
+    """Gauss-Jordan inverse over any exact field whose unit is `one`."""
     size = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(size)]
+    zero = one - one
+    a = [list(row) + [one if i == j else zero for j in range(size)]
          for i, row in enumerate(mat)]
     for col in range(size):
         piv = next((r for r in range(col, size) if a[r][col] != 0), None)
         if piv is None:
-            raise ArithmeticError("pairing matrix is singular")
+            raise ArithmeticError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
-        lead = a[col][col]
-        a[col] = [x / lead for x in a[col]]
+        lead = one / a[col][col]
+        a[col] = [x * lead for x in a[col]]
         for r in range(size):
-            if r != col and a[r][col]:
+            if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[size:] for row in a]
@@ -279,9 +281,9 @@ def correlator_via_spectrum(classes, genus, k, n):
     chars = [
         [_schur_value(p, vals, k, order) for p in alg.basis] for vals in pts
     ]
-    idem = _invert_cyclotomic_matrix(chars, order)
-    total = CyclotomicNumber(order, [])
     one = CyclotomicNumber(order, [1])
+    idem = _invert_matrix(chars, one)
+    total = CyclotomicNumber(order, [])
     for t in range(len(pts)):
         val = one
         for parts in classes:
@@ -290,26 +292,6 @@ def correlator_via_spectrum(classes, genus, k, n):
         val = val * c_t ** (1 - genus)
         total = total + val
     return total.to_rational()
-
-
-def _invert_cyclotomic_matrix(mat, order):
-    size = len(mat)
-    zero = CyclotomicNumber(order, [])
-    one = CyclotomicNumber(order, [1])
-    a = [list(row) + [one if i == j else zero for j in range(size)]
-         for i, row in enumerate(mat)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise ArithmeticError("character matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        lead = a[col][col].inverse()
-        a[col] = [x * lead for x in a[col]]
-        for r in range(size):
-            if r != col and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[size:] for row in a]
 
 
 # ---------------------------------------------------------------------------

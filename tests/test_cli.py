@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import vicalc
-from vicalc.cli import PAPER_LITERAL_REFUSAL, _execute, main
+from vicalc.cli import _execute, build_parser, main
 
 
 def run(*argv):
@@ -169,17 +169,15 @@ def test_corollary_report_can_agree():
     assert "values agree" in out
 
 
-def test_paper_literal_refused():
-    code, out, err = run("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
-                         "--paper-literal")
-    assert (code, out) == (2, "")
-    assert err == PAPER_LITERAL_REFUSAL
-    assert "ordered product" in err
-    assert "prod_{i<j}" in err
-
-
 def test_usage_errors_exit_2():
     assert run("frobnicate")[0] == 2
+    # options a subcommand does not take are unrecognized arguments
+    assert run("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
+               "--paper-literal")[:2] == (2, "")
+    assert run("qh-table", "--k", "2", "--n", "4", "--convention", "dual")[:2] == (2, "")
+    assert run("s-invariant", "--n", "2", "--k", "1", "--g", "1", "--eps", "1",
+               "--workers", "2")[:2] == (2, "")
+    assert run("batch", "jobs.ndjson", "--format", "json")[:2] == (2, "")
     assert run("vi", "--n", "4")[0] == 2
     assert run("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
                "--monomial", "spam")[0] == 2
@@ -273,6 +271,22 @@ def test_batch_runs_in_input_order(tmp_path):
     ]
     assert "batch line 2:" in err
     assert "degree condition violated" in err
+
+
+def test_batch_builds_one_parser(monkeypatch, tmp_path):
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr("vicalc.cli.build_parser", counted)
+    job = json.dumps({"subcommand": "vi", "output_format": "json",
+                      "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}})
+    path = tmp_path / "jobs.ndjson"
+    path.write_text((job + "\n") * 3)
+    assert run("batch", str(path)) == (0, '{"value":"6","integral":true}\n' * 3, "")
+    assert len(calls) == 1
 
 
 def test_batch_rejects_bad_lines(tmp_path):
