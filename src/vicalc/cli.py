@@ -8,10 +8,11 @@ it too.
 
 Exit codes: 0 success, 2 usage error (including a --workers value that
 is not a nonnegative integer, an option the subcommand does not take,
-and a batch line that is not a well-formed job), 3 inadmissible query
-(the requested value does not exist: degree condition violated), 4
-internal invariant violation (the algebra promised something the
-computation broke, e.g. a subset sum outside its L1 bound).
+and a batch line that is not a well-formed job or has an unknown
+top-level key), 3 inadmissible query (the requested value does not
+exist: degree condition violated), 4 internal invariant violation (the
+algebra promised something the computation broke, e.g. a subset sum
+outside its L1 bound).
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips.  A batch file holds one
@@ -456,9 +457,16 @@ def _job_field(job, key, kind, default=None):
     return value
 
 
+# "parallelism" is documented and still accepted; it has no effect
+_JOB_KEYS = frozenset(("subcommand", "output_format", "convention", "parameters", "parallelism"))
+
+
 def _job_to_argv(job):
     if not isinstance(job, dict):
         raise UsageError("job line must be a JSON object")
+    unknown = sorted(set(job) - _JOB_KEYS)
+    if unknown:
+        raise UsageError("unknown job key %s" % ", ".join(map(repr, unknown)))
     sub = job.get("subcommand")
     if not isinstance(sub, str) or sub not in _RUNNERS:
         raise UsageError("unknown subcommand %r" % (sub,))

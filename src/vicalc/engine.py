@@ -23,16 +23,20 @@ R_S = prod_{rho in S, tau not in S}(rho - tau) cancels the n-power
 prefactor for genus >= 1, so the subset sum is a rational integer; only
 genus 0 divides by n^k at the end.  vicalc.backend evaluates that sum in
 Z/p for one prime p = 1 (mod n), sending zeta_n to a root w of Phi_n mod
-p, with p more than 64 bits above backend.term_bound_bits.  It computes
-one term per rotation orbit of subsets, the orbit's necklace, and weights
-it by the orbit's size.  That is exact because every term of an
-admissible sum is rotation invariant: a rotation multiplies a term by
-zeta_n^(-e*n) = 1.  The whole sum runs once, in the calling process.
-The engine lifts the symmetric residue to the integer and checks it
-against the bound: a residue whose lift exceeds the bound means the
-evaluation is broken, and raises ArithmeticError (exit 4 on the command
-line) instead of returning a wrong value.  A corrupted residue slips
-through with probability below 2^-64.
+p, with p more than 64 bits above backend.term_bound_bits.  It generates
+one subset per rotation orbit, the orbit's necklace, and weights its term
+by the orbit's size.  That is exact because every term of an admissible
+sum is rotation invariant: a rotation multiplies a term by
+zeta_n^(-e*n) = 1.  Each term is built from prod_{i<j}(rho_i - rho_j)^2,
+using R_S = n^k * (-1)^(k(k-1)/2) / (prod(rho) * prod_{i<j}(rho_i -
+rho_j)^2) at genus >= 2, and the sum takes one inverse mod p; a
+denominator that is not a unit raises ArithmeticError.  The whole sum
+runs once, in the calling process.  The engine lifts the symmetric
+residue to the integer and checks it against the bound: a residue whose
+lift exceeds the bound means the evaluation is broken, and raises
+ArithmeticError (exit 4 on the command line) instead of returning a
+wrong value.  A corrupted residue slips through with probability below
+2^-64.
 """
 
 from dataclasses import dataclass, replace

@@ -322,6 +322,22 @@ def test_batch_survives_malformed_fields(tmp_path):
         assert "vicalc: batch " + needle in err
 
 
+def test_batch_rejects_unknown_job_keys(tmp_path):
+    params = {"n": 4, "k": 2, "g": 1, "e": 0}
+    jobs = [
+        {"subcommand": "vi", "output_format": "json", "parameters": params},
+        {"subcommand": "vi", "output_fromat": "json", "convnetion": "dual",
+         "parameters": params},
+        {"subcommand": "vi", "output_format": "json", "parameters": params, "parallelism": 2},
+    ]
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join(json.dumps(j) for j in jobs) + "\n")
+    code, out, err = run("batch", str(path))
+    assert code == 2
+    assert out == '{"value":"6","integral":true}\n' * 2
+    assert err == "vicalc: batch line 2: unknown job key 'convnetion', 'output_fromat'\n"
+
+
 def test_main_streams_and_code(capsys):
     code = main(["vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
                  "--format", "json"])

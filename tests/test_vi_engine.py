@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd
 
 import pytest
@@ -204,17 +204,43 @@ def test_rank_splits_sum_to_the_full_residue():
             assert sum(parts) % p == full, (n, k, g, sig, edges)
 
 
+def _necklaces_by_filter(n, k, lo, hi):
+    """The reference generator: walk every subset {0} + T and keep those
+    whose gap word is the least of its rotations."""
+    for tail in islice(combinations(range(1, n), k - 1), lo, hi):
+        subset = (0,) + tail
+        gaps = tuple(b - a for a, b in zip(subset, tail + (n,)))
+        twice = gaps + gaps
+        for s in range(1, k + 1):
+            turned = twice[s:s + k]
+            if turned < gaps:
+                break
+            if turned == gaps:  # s is the smallest period
+                yield subset, n * s // k
+                break
+
+
 def test_orbit_representatives_are_the_necklaces():
     def phi(m):
         return sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
 
+    rng = random.Random(7)
     for n in range(2, 17):
         for k in range(1, n):
-            reps = list(backend._orbit_representatives(n, k, 0, comb(n - 1, k - 1)))
+            total = comb(n - 1, k - 1)
+            reps = list(backend._orbit_representatives(n, k, 0, total))
             assert sum(size for _, size in reps) == comb(n, k), (n, k)
             necklaces = sum(phi(d) * comb(n // d, k // d)
                             for d in range(1, gcd(n, k) + 1) if gcd(n, k) % d == 0)
             assert len(reps) * n == necklaces, (n, k)
+            if n > 14:
+                continue
+            # the same sequence as the filter, on the full range and on random ones
+            ranges = [(0, total)] + [sorted(rng.choices(range(total + 1), k=2))
+                                     for _ in range(6)]
+            for lo, hi in ranges:
+                assert (list(backend._orbit_representatives(n, k, lo, hi))
+                        == list(_necklaces_by_filter(n, k, lo, hi))), (n, k, lo, hi)
 
 
 def test_periodic_shapes_match_reference():
@@ -228,6 +254,26 @@ def test_periodic_shapes_match_reference():
     ):
         q = InvariantQuery(n, k, g, e, monomial=mono, convention="dual")
         assert vi_invariant(q).value == vi_reference(q).value, q
+
+
+def test_half_rank_values_are_recorded():
+    # k = n/2 has necklaces of every period dividing 6; the values were
+    # recorded from vi_reference (about 3 s each)
+    assert vi_invariant(InvariantQuery(12, 6, 2, -3, convention="dual")).value == 88649616
+    assert (vi_invariant(InvariantQuery(12, 6, 3, -6, convention="dual")).value
+            == 784986259865280)
+
+
+def test_non_unit_denominator_exits_4(monkeypatch):
+    real = backend.field
+    # w = 1 sends every root to 1, so every V_S and the denominator are 0
+    monkeypatch.setattr(backend, "field", lambda *args: real(*args)[:2] + (1,))
+    with pytest.raises(ArithmeticError, match="not a unit"):
+        vi_invariant(InvariantQuery(12, 6, 2, -3, convention="dual"))
+    code, out, err = _execute(["vi", "--n", "12", "--k", "6", "--g", "2", "--e=-3",
+                               "--convention", "dual"])
+    assert (code, out) == (4, "")
+    assert "not a unit" in err
 
 
 def test_convention_duality():
