@@ -1,24 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are represented by their coordinates over the power basis
-1, zeta, ..., zeta^(phi(n)-1) of Q[x]/(Phi_n(x)), with Fraction
-coefficients.  No floating point enters any computation here.
+An element is its coordinates over the power basis 1, zeta, ...,
+zeta^(phi(n)-1) of Q[x]/(Phi_n(x)): a tuple `num` of integer numerators
+over one denominator `den` > 0, in lowest terms (gcd(den, *num) == 1, so
+den == 1 exactly on Z[zeta]).  Arithmetic runs on integers only; a product
+multiplies the denominators and reduces once by gcd, skipped when den == 1.
+Coefficients must be int or Fraction: no floating point enters here.
 
-The n-th cyclotomic polynomial is obtained by the recursive quotient
-(x^n - 1) / prod_{d | n, d < n} Phi_d(x) with exact integer division.
-Per-order data (Phi_n plus reduction rows for high powers of x) is
-cached in a module table; the fill is idempotent, so a racing second
-writer is harmless.
+The inverse is by the Galois norm: x^-1 = adj / N(x), where
+adj = prod_{j in (Z/n)^x, j != 1} sigma_j(x) and N(x) = x * adj is rational.
+
+Phi_n is the exact integer quotient (x^n - 1) / prod_{d | n, d < n} Phi_d(x).
+Per-order data is cached in a module table; the fill is idempotent, so a
+racing second writer is harmless.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-# order -> (phi coefficients low-to-high, degree, power rows)
-# power rows: tuple indexed by t giving the basis coordinates of x^t mod Phi_n,
-# covering every t needed by products of reduced elements and by zeta powers.
+# order -> (phi coefficients low-to-high, degree, power rows, phi tail)
+# power rows: tuple indexed by t < n giving the basis coordinates of
+# x^t mod Phi_n, for zeta powers and Galois images; phi tail: the nonzero
+# (j, phi_j) with j < degree, which reduce a product's high terms.
 _TABLES = {}
 
 
@@ -57,9 +60,7 @@ def cyclotomic_polynomial(n):
                 num = _poly_divmod_exact(num, cyclotomic_polynomial(d))
         phi = num
     deg = len(phi) - 1
-    # rows for x^t mod Phi_n: t up to max(n - 1, 2*deg - 2) covers both
-    # zeta powers and products of two reduced elements.
-    rows = [[0] * deg for _ in range(max(n, 2 * deg - 1))]
+    rows = [[0] * deg for _ in range(n)]
     for t in range(deg):
         rows[t][t] = 1
     for t in range(deg, len(rows)):
@@ -70,7 +71,8 @@ def cyclotomic_polynomial(n):
             for j in range(deg):
                 row[j] -= carry * phi[j]
         rows[t] = row
-    _TABLES[n] = (phi, deg, tuple(tuple(r) for r in rows))
+    tail = tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+    _TABLES[n] = (phi, deg, tuple(tuple(r) for r in rows), tail)
     return phi
 
 
@@ -79,108 +81,146 @@ def _table(n):
     return _TABLES[n]
 
 
-class CyclotomicNumber:
-    """An element of Q(zeta_n) in canonical power-basis coordinates."""
+_new = object.__new__
+_set = object.__setattr__
 
-    __slots__ = ("order", "coeffs")
+
+def _make(order, num, den):
+    """The element num/den, which the caller guarantees is in lowest terms."""
+    x = _new(CyclotomicNumber)
+    _set(x, "order", order)
+    _set(x, "num", num)
+    _set(x, "den", den)
+    return x
+
+
+def _reduced(order, num, den):
+    """The element num/den for a list num and den > 0, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            den //= g
+            num = [c // g for c in num]
+    return _make(order, tuple(num), den)
+
+
+def _rational(order, q):
+    """The coordinates (num, den) of the int or Fraction q."""
+    return (q.numerator,) + (0,) * (_TABLES[order][1] - 1), q.denominator
+
+
+class CyclotomicNumber:
+    """An element of Q(zeta_n): integer power-basis numerators over one denominator."""
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order, coeffs):
         deg = _table(order)[1]
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) > deg:
             raise ValueError("coefficient vector longer than the basis")
-        cs.extend([_ZERO] * (deg - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if not all(isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError("cyclotomic coefficients must be int or Fraction: %r" % (cs,))
+        # each Fraction is in lowest terms, so over the lcm no prime divides all
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs] + [0] * (deg - len(cs))
+        _set(self, "order", order)
+        _set(self, "num", tuple(num))
+        _set(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
 
-    def _lift(self, other):
+    @property
+    def coeffs(self):
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _coords(self, other):
+        """(num, den) of other in this field, or None when it is not a number."""
         if isinstance(other, CyclotomicNumber):
             if other.order != self.order:
                 raise ValueError(
                     "incompatible cyclotomic orders: %d vs %d" % (self.order, other.order)
                 )
-            return other
+            return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.order, [Fraction(other)])
+            return _rational(self.order, other)
         return None
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = self._coords(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        (b, bd), a, ad = o, self.num, self.den
+        if ad == bd:
+            return _reduced(self.order, [x + y for x, y in zip(a, b)], ad)
+        return _reduced(self.order, [x * bd + y * ad for x, y in zip(a, b)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-a for a in self.coeffs])
+        return _make(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = self._coords(other)
         if o is None:
             return NotImplemented
-        return CyclotomicNumber(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        (b, bd), a, ad = o, self.num, self.den
+        if ad == bd:
+            return _reduced(self.order, [x - y for x, y in zip(a, b)], ad)
+        return _reduced(self.order, [x * bd - y * ad for x, y in zip(a, b)], ad * bd)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.order, [a * f for a in self.coeffs])
-        o = self._lift(other)
+            p = other.numerator
+            return _reduced(self.order, [c * p for c in self.num], self.den * other.denominator)
+        o = self._coords(other)
         if o is None:
             return NotImplemented
-        _, deg, rows = _table(self.order)
-        prod = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        out = [_ZERO] * deg
-        for t, c in enumerate(prod):
-            if c:
-                if t < deg:
-                    out[t] += c
-                else:
-                    row = rows[t]
-                    for j in range(deg):
-                        if row[j]:
-                            out[j] += c * row[j]
-        return CyclotomicNumber(self.order, out)
+        return self._times(*o)
 
     __rmul__ = __mul__
 
+    def _times(self, b, bd):
+        """self * (b / bd) for power-basis numerators b and bd > 0."""
+        n = self.order
+        _, deg, _, tail = _TABLES[n]
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for t, y in enumerate(b, i):
+                    prod[t] += x * y
+        # x^deg = -sum_j phi_j x^j, applied from the top term down
+        for t in range(2 * deg - 2, deg - 1, -1):
+            c = prod[t]
+            if c:
+                for j, p in tail:
+                    prod[t - deg + j] -= c * p
+        del prod[deg:]
+        return _reduced(n, prod, self.den * bd)
+
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            inv = Fraction(1, 1) / Fraction(other)
-            return self * inv
-        o = self._lift(other)
-        if o is None:
+            return self * Fraction(1, other)
+        if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, exp):
         if not isinstance(exp, int):
             return NotImplemented
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = CyclotomicNumber(self.order, [_ONE])
+        result = _make(self.order, *_rational(self.order, 1))
         base = self
         while exp:
             if exp & 1:
@@ -190,23 +230,26 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
+        if isinstance(other, CyclotomicNumber):
+            return self.order == other.order and self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber(self.order, [Fraction(other)])
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+            return self.is_rational() and (self.num[0], self.den) == other.as_integer_ratio()
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        # a rational element equals its Fraction, so it must hash as one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return "CyclotomicNumber(%d, %s)" % (self.order, list(self.coeffs))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self):
         """The element as a Fraction; raises if it has nonzero basis tail."""
@@ -215,91 +258,45 @@ class CyclotomicNumber:
                 "non-rational cyclotomic value: order %d coefficients %s"
                 % (self.order, [str(c) for c in self.coeffs])
             )
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse adj / N(x) by the Galois norm N(x) = x * adj."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        phi = [Fraction(c) for c in _table(self.order)[0]]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                return CyclotomicNumber(self.order, [x / c for x in s1])
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        n = self.order
+        adj = _make(n, *_rational(n, 1))
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                g = self.galois(j)
+                adj = adj._times(g.num, g.den)
+        inv = 1 / self._times(adj.num, adj.den).to_rational()
+        return _reduced(n, [c * inv.numerator for c in adj.num], adj.den * inv.denominator)
 
     def galois(self, j):
         """Image under zeta -> zeta^j; j must be a unit mod the order."""
         n = self.order
-        from math import gcd
-
         if gcd(j, n) != 1:
             raise ValueError("galois exponent %d is not a unit mod %d" % (j, n))
-        _, deg, rows = _table(n)
-        out = [_ZERO] * deg
-        for i, c in enumerate(self.coeffs):
+        _, deg, rows, _ = _TABLES[n]
+        out = [0] * deg
+        for i, c in enumerate(self.num):
             if c:
                 row = rows[(i * j) % n]
                 for t in range(deg):
                     if row[t]:
                         out[t] += c * row[t]
-        return CyclotomicNumber(n, out)
-
-
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    dn = len(den) - 1
-    lead = den[-1]
-    q = [_ZERO] * max(len(num) - dn, 0)
-    while len(num) - 1 >= dn and num:
-        c = num[-1] / lead
-        d = len(num) - 1 - dn
-        q[d] = c
-        for j, dc in enumerate(den):
-            num[d + j] -= c * dc
-        while num and num[-1] == 0:
-            num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        # sigma_j permutes Z[zeta], so the image is still in lowest terms
+        return _make(n, tuple(out), self.den)
 
 
 def zeta(n, power=1):
     """The root of unity zeta_n^power as a CyclotomicNumber."""
-    _, deg, rows = _table(n)
-    return CyclotomicNumber(n, rows[power % n])
+    return _make(n, _table(n)[2][power % n], 1)
 
 
 def from_rational(n, value):
-    return CyclotomicNumber(n, [Fraction(value)])
+    return CyclotomicNumber(n, [value])
 
 
 def root_power_sum(n, t):
