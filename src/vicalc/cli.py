@@ -2,9 +2,11 @@
 
 Options by subcommand: every query subcommand (vi, count-max, qh-table,
 parabolic-degree, s-invariant, corollary-report) takes --format; only vi
-and count-max take --convention and --workers; batch takes only its
-path.  One parser is built per process, and batch lines are parsed with
-it too.
+takes --convention and --workers; batch takes only its path.  One parser
+is built per process, and batch lines are parsed with it too.  Every
+subcommand but qh-table prints one record, rendered by _record; the text
+form of corollary-report is its own three lines.  count-max always
+reports the dual spelling of its query.
 
 Exit codes: 0 success, 2 usage error (including a --workers value that
 is not a nonnegative integer, an option the subcommand does not take,
@@ -16,8 +18,9 @@ outside its L1 bound).
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips.  A batch file holds one
-JSON job per line, run in input order.  Every query runs in this one
-process; --workers is still parsed and validated so that existing
+JSON job per line, run in input order; a job's keys are subcommand,
+output_format, convention and parameters.  Every query runs in this one
+process; vi --workers is still parsed and validated so that existing
 command lines keep working, but it has no effect.
 """
 
@@ -113,9 +116,23 @@ def _json_line(obj):
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-QUERY_CSV_HEADER = (
-    "n", "k", "g", "e", "d", "monomial", "convention", "value", "integral", "terms",
-)
+def _record(ns, fields, json_keys):
+    """Render one record of ordered (name, value) fields in the --format asked for.
+
+    CSV is the header and one row, None an empty cell.  Text is one
+    aligned line per field: None fields are left out, "" prints as "-"
+    and "_" in a name as a space.  JSON holds json_keys only.  Bools print
+    as true/false, and as JSON booleans in JSON.
+    """
+    if ns.format == "json":
+        values = dict(fields)
+        return _json_line({key: values[key] for key in json_keys})
+    cells = [(name, _bool(value) if isinstance(value, bool) else value)
+             for name, value in fields]
+    if ns.format == "csv":
+        return _csv_block([name for name, _ in cells], [[value for _, value in cells]])
+    return _kv_block([(name.replace("_", " "), "-" if value == "" else value)
+                      for name, value in cells if value is not None])
 
 
 def _class_label(parts):
@@ -144,64 +161,36 @@ def _sum_text(qsum):
 # ---------------------------------------------------------------------------
 # subcommand runners; each returns the rendered stdout text
 
+def _query_record(ns, n, k, g, e, d, monomial, convention, result):
+    return _record(ns, [
+        ("n", n), ("k", k), ("g", g), ("e", e), ("d", d),
+        ("monomial", monomial), ("convention", convention),
+        ("value", _rat(result.value)), ("integral", result.integral),
+        ("terms", result.terms_summed),
+    ], ("value", "integral"))
+
+
 def _run_vi(ns):
-    monomial = _int_list(ns.monomial)
-    convention = ns.convention or "paper"
     try:
         query = InvariantQuery(
             n=ns.n, k=ns.k, g=ns.g, e=ns.e, d=ns.d,
-            monomial=monomial, convention=convention,
+            monomial=_int_list(ns.monomial), convention=ns.convention,
         )
     except ValueError as ex:
         raise UsageError(str(ex))
-    result = evaluate(query)
-    if ns.format == "json":
-        return _json_line({"value": _rat(result.value), "integral": result.integral})
-    if ns.format == "csv":
-        row = (
-            query.n, query.k, query.g, query.e, query.d,
-            ",".join(str(a) for a in query.monomial), query.convention,
-            _rat(result.value), _bool(result.integral), result.terms_summed,
-        )
-        return _csv_block(QUERY_CSV_HEADER, [row])
-    return _kv_block([
-        ("n", query.n),
-        ("k", query.k),
-        ("g", query.g),
-        ("e", query.e),
-        ("d", query.d),
-        ("monomial", ",".join(str(a) for a in query.monomial) or "-"),
-        ("convention", query.convention),
-        ("value", _rat(result.value)),
-        ("integral", _bool(result.integral)),
-        ("terms", result.terms_summed),
-    ])
+    return _query_record(
+        ns, query.n, query.k, query.g, query.e, query.d,
+        ",".join(str(a) for a in query.monomial), query.convention, evaluate(query),
+    )
 
 
 def _run_count_max(ns):
-    convention = ns.convention or "dual"  # echoed only: the count does not depend on it
     try:
         result = count_maximal(ns.n, ns.d, ns.k, ns.g)
     except ValueError as ex:
         raise UsageError(str(ex))
-    if ns.format == "json":
-        return _json_line({"value": _rat(result.value), "integral": result.integral})
-    if ns.format == "csv":
-        row = (
-            ns.n, ns.k, ns.g, "", ns.d, "", convention,
-            _rat(result.value), _bool(result.integral), result.terms_summed,
-        )
-        return _csv_block(QUERY_CSV_HEADER, [row])
-    return _kv_block([
-        ("n", ns.n),
-        ("k", ns.k),
-        ("g", ns.g),
-        ("d", ns.d),
-        ("convention", convention),
-        ("value", _rat(result.value)),
-        ("integral", _bool(result.integral)),
-        ("terms", result.terms_summed),
-    ])
+    # the count is the dual query's; count-max has no e or monomial of its own
+    return _query_record(ns, ns.n, ns.k, ns.g, None, ns.d, None, "dual", result)
 
 
 def _run_qh_table(ns):
@@ -280,22 +269,14 @@ def _run_parabolic_degree(ns):
         )
     except ValueError as ex:
         raise UsageError(str(ex))
-    value = parabolic_degree(data)
-    if ns.format == "json":
-        return _json_line({"value": _rat(value)})
     rendered_points = "|".join(
         ";".join("%s:%d" % (w, m) for w, m in zip(p.weights, p.multiplicities))
         for p in data.points
     )
-    if ns.format == "csv":
-        row = (ns.rank, ns.degree, rendered_points, _rat(value))
-        return _csv_block(("rank", "degree", "points", "value"), [row])
-    return _kv_block([
-        ("rank", ns.rank),
-        ("degree", ns.degree),
-        ("points", rendered_points or "-"),
-        ("value", _rat(value)),
-    ])
+    return _record(ns, [
+        ("rank", ns.rank), ("degree", ns.degree), ("points", rendered_points),
+        ("value", _rat(parabolic_degree(data))),
+    ], ("value",))
 
 
 def _run_s_invariant(ns):
@@ -309,27 +290,13 @@ def _run_s_invariant(ns):
         else:
             weights = _fraction_list(ns.weights)
         value = s_invariant(ns.n, ns.k, ns.g, ns.eps, ns.group_order, weights)
-    except UsageError:
-        raise
     except ValueError as ex:
         raise UsageError(str(ex))
-    rendered_weights = ";".join(str(w) for w in weights)
-    if ns.format == "json":
-        return _json_line({"value": _rat(value)})
-    if ns.format == "csv":
-        row = (ns.n, ns.k, ns.g, ns.eps, ns.group_order, rendered_weights, _rat(value))
-        return _csv_block(
-            ("n", "k", "g", "eps", "group_order", "weights", "value"), [row]
-        )
-    return _kv_block([
-        ("n", ns.n),
-        ("k", ns.k),
-        ("g", ns.g),
-        ("eps", ns.eps),
-        ("group order", ns.group_order),
-        ("weights", rendered_weights or "-"),
+    return _record(ns, [
+        ("n", ns.n), ("k", ns.k), ("g", ns.g), ("eps", ns.eps),
+        ("group_order", ns.group_order), ("weights", ";".join(str(w) for w in weights)),
         ("value", _rat(value)),
-    ])
+    ], ("value",))
 
 
 def _run_corollary_report(ns):
@@ -347,25 +314,17 @@ def _run_corollary_report(ns):
         )
     claimed = Fraction(ns.n) ** (ns.n * ns.g)
     differ = claimed != derived
-    if ns.format == "json":
-        return _json_line({
-            "n": ns.n,
-            "d": ns.d,
-            "g": ns.g,
-            "claimed": _rat(claimed),
-            "derived": _rat(derived),
-            "differ": differ,
-        })
-    if ns.format == "csv":
-        row = (ns.n, ns.d, ns.g, _rat(claimed), _rat(derived), _bool(differ))
-        return _csv_block(("n", "d", "g", "claimed", "derived", "differ"), [row])
-    return _kv_block([
-        ("claimed", "m(n,d,1,g) = n^(n*g) = %s (published corollary)" % _rat(claimed)),
-        ("derived", "n^(g-1) * sum_rho rho^(b-g+1) = %s (root-of-unity sum, b = %d)"
-         % (_rat(derived), b)),
-        ("status", "values %s; recorded as a documented discrepancy, not adjudicated"
-         % ("differ" if differ else "agree")),
-    ])
+    if ns.format == "text":
+        return _kv_block([
+            ("claimed", "m(n,d,1,g) = n^(n*g) = %s (published corollary)" % _rat(claimed)),
+            ("derived", "n^(g-1) * sum_rho rho^(b-g+1) = %s (root-of-unity sum, b = %d)"
+             % (_rat(derived), b)),
+            ("status", "values %s; recorded as a documented discrepancy, not adjudicated"
+             % ("differ" if differ else "agree")),
+        ])
+    fields = [("n", ns.n), ("d", ns.d), ("g", ns.g), ("claimed", _rat(claimed)),
+              ("derived", _rat(derived)), ("differ", differ)]
+    return _record(ns, fields, [name for name, _ in fields])
 
 
 _RUNNERS = {
@@ -384,19 +343,17 @@ _RUNNERS = {
 def build_parser():
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    query = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    query.add_argument("--convention", choices=("paper", "dual"), default=None)
-    query.add_argument("--workers", type=worker_count, default=0,
-                       help="accepted for compatibility; has no effect")
-
     parser = argparse.ArgumentParser(
         prog="vicalc",
         description="Exact Grassmannian invariants from root-of-unity sums.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("vi", parents=[query],
+    p = sub.add_parser("vi", parents=[formatted],
                        help="genus-g invariant on the degree-0 locus")
+    p.add_argument("--convention", choices=("paper", "dual"), default="paper")
+    p.add_argument("--workers", type=worker_count, default=0,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
@@ -405,7 +362,7 @@ def build_parser():
     p.add_argument("--monomial", default="",
                    help="insertion subscripts, comma separated")
 
-    p = sub.add_parser("count-max", parents=[query],
+    p = sub.add_parser("count-max", parents=[formatted],
                        help="maximal-subbundle count m(n,d,k,g)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -457,8 +414,7 @@ def _job_field(job, key, kind, default=None):
     return value
 
 
-# "parallelism" is documented and still accepted; it has no effect
-_JOB_KEYS = frozenset(("subcommand", "output_format", "convention", "parameters", "parallelism"))
+_JOB_KEYS = frozenset(("subcommand", "output_format", "convention", "parameters"))
 
 
 def _job_to_argv(job):

@@ -1,4 +1,4 @@
-"""Parabolic-bundle bookkeeping: degrees, slopes, s-invariants, residues.
+"""Parabolic-bundle bookkeeping: degrees, s-invariants, and the composed invariant.
 
 All weights are exact rationals; nothing here may introduce a float,
 because the weight sums feed degree shifts for the root-of-unity engine.
@@ -62,53 +62,12 @@ class ParabolicData:
                 )
 
 
-@dataclass(frozen=True)
-class ConnectionSpectrum:
-    """Residue eigenvalue table of a logarithmic connection.
-
-    The defining relation d + sum(lambda) = 0 is checked by
-    residue_degree_check, not enforced here, so inconsistent tables can be
-    examined.
-    """
-
-    n_points: int
-    rank: int
-    lam: tuple
-    degree: int
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.lam)
-        object.__setattr__(self, "lam", rows)
-        if len(rows) != self.n_points:
-            raise ValueError("expected %d rows of eigenvalues" % self.n_points)
-        for row in rows:
-            if len(row) != self.rank:
-                raise ValueError("each row needs %d eigenvalues" % self.rank)
-
-
 def parabolic_degree(data):
     """deg plus the weighted flag contributions over all marked points."""
     total = Fraction(data.degree)
     for p in data.points:
         total += p.weight_contribution()
     return total
-
-
-def slope_compare(sub, whole):
-    """One-candidate stability test: compare parabolic slopes.
-
-    Full stability quantifies over all subbundles; this only classifies the
-    pair at hand as strict_pass / boundary / fail.
-    """
-    if not 0 < sub.rank < whole.rank:
-        raise ValueError("need 0 < sub rank < whole rank")
-    left = parabolic_degree(sub) / sub.rank
-    right = parabolic_degree(whole) / whole.rank
-    if left < right:
-        return "strict_pass"
-    if left == right:
-        return "boundary"
-    return "fail"
 
 
 def s_invariant(n, k, g, eps, group_order=0, weights=()):
@@ -121,21 +80,6 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
     if group_order:
         total += group_order * sum(Fraction(w) for w in weights)
     return total
-
-
-def moduli_dimension(r, n_points, g):
-    """Dimension 2r^2(g-1) + n_points*r(r-1) + 2 of the connection moduli."""
-    if r < 1 or n_points < 0 or g < 0:
-        raise ValueError("need r >= 1, n_points >= 0, g >= 0")
-    return 2 * r * r * (g - 1) + n_points * r * (r - 1) + 2
-
-
-def residue_degree_check(spectrum):
-    """True iff d + sum of all residue eigenvalues vanishes."""
-    total = Fraction(spectrum.degree)
-    for row in spectrum.lam:
-        total += sum(row)
-    return total == 0
 
 
 def weights_from_equivariant(group_order, exponents):

@@ -60,6 +60,76 @@ def test_count_max_csv_shares_query_schema():
     assert row == "4,2,1,,0,,dual,6,true,6"
 
 
+_QUERY_HEADER = "n,k,g,e,d,monomial,convention,value,integral,terms\n"
+
+# Exact stdout of every record-shaped subcommand in each format: the text
+# alignment and labels, the "-" placeholders, the fields count-max leaves
+# out of its text, and the CSV headers.
+PINNED = [
+    (("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0"), {
+        "text": "n           4\nk           2\ng           1\ne           0\nd           0\n"
+                "monomial    -\nconvention  paper\nvalue       6\nintegral    true\n"
+                "terms       6\n",
+        "csv": _QUERY_HEADER + "4,2,1,0,0,,paper,6,true,6\n",
+        "json": '{"value":"6","integral":true}\n',
+    }),
+    (("vi", "--n", "4", "--k", "2", "--g", "0", "--e", "0", "--monomial", "1,1,1,1",
+      "--convention", "dual"), {
+        "text": "n           4\nk           2\ng           0\ne           0\nd           0\n"
+                "monomial    1,1,1,1\nconvention  dual\nvalue       2\nintegral    true\n"
+                "terms       6\n",
+        "csv": _QUERY_HEADER + '4,2,0,0,0,"1,1,1,1",dual,2,true,6\n',
+        "json": '{"value":"2","integral":true}\n',
+    }),
+    (("count-max", "--n", "4", "--d", "0", "--k", "2", "--g", "1"), {
+        "text": "n           4\nk           2\ng           1\nd           0\n"
+                "convention  dual\nvalue       6\nintegral    true\nterms       6\n",
+        "csv": _QUERY_HEADER + "4,2,1,,0,,dual,6,true,6\n",
+        "json": '{"value":"6","integral":true}\n',
+    }),
+    (("parabolic-degree", "--rank", "2", "--degree", "0", "--point", "1/4:1,3/4:1"), {
+        "text": "rank    2\ndegree  0\npoints  1/4:1;3/4:1\nvalue   1\n",
+        "csv": "rank,degree,points,value\n2,0,1/4:1;3/4:1,1\n",
+        "json": '{"value":"1"}\n',
+    }),
+    (("parabolic-degree", "--rank", "2", "--degree", "3"), {
+        "text": "rank    2\ndegree  3\npoints  -\nvalue   3\n",
+        "csv": "rank,degree,points,value\n2,3,,3\n",
+        "json": '{"value":"3"}\n',
+    }),
+    (("s-invariant", "--n", "4", "--k", "2", "--g", "1", "--eps", "2",
+      "--group-order", "2", "--weights", "1/4"), {
+        "text": "n            4\nk            2\ng            1\neps          2\n"
+                "group order  2\nweights      1/4\nvalue        5/2\n",
+        "csv": "n,k,g,eps,group_order,weights,value\n4,2,1,2,2,1/4,5/2\n",
+        "json": '{"value":"5/2"}\n',
+    }),
+    (("s-invariant", "--n", "4", "--k", "2", "--g", "1", "--eps", "2"), {
+        "text": "n            4\nk            2\ng            1\neps          2\n"
+                "group order  0\nweights      -\nvalue        2\n",
+        "csv": "n,k,g,eps,group_order,weights,value\n4,2,1,2,0,,2\n",
+        "json": '{"value":"2"}\n',
+    }),
+    (("corollary-report", "--n", "3", "--g", "2"), {
+        "text": "claimed  m(n,d,1,g) = n^(n*g) = 729 (published corollary)\n"
+                "derived  n^(g-1) * sum_rho rho^(b-g+1) = 0 (root-of-unity sum, b = 2)\n"
+                "status   values differ; recorded as a documented discrepancy, "
+                "not adjudicated\n",
+        "csv": "n,d,g,claimed,derived,differ\n3,1,2,729,0,true\n",
+        "json": '{"n":3,"d":1,"g":2,"claimed":"729","derived":"0","differ":true}\n',
+    }),
+]
+
+
+@pytest.mark.parametrize("argv,fmt,expected", [
+    (argv, fmt, expected)
+    for argv, by_format in PINNED
+    for fmt, expected in by_format.items()
+])
+def test_rendered_bytes_are_pinned(argv, fmt, expected):
+    assert run(*argv, "--format", fmt) == (0, expected, "")
+
+
 def test_inadmissible_query_exits_3():
     code, out, err = run("vi", "--n", "4", "--k", "2", "--g", "0", "--e", "0",
                          "--monomial", "1")
@@ -72,12 +142,10 @@ def test_inadmissible_query_exits_3():
 def test_count_max_sign_settled_by_oracle():
     # the fusion oracle gives 9 and 224 on the dual (k,)*b queries
     for n, d, k, g, value in ((3, 1, 2, 2, "9"), (4, 2, 2, 3, "224")):
-        for convention in ("dual", "paper"):
-            code, out, err = run("count-max", "--n", str(n), "--d", str(d), "--k", str(k),
-                                 "--g", str(g), "--convention", convention,
-                                 "--format", "json")
-            assert (code, err) == (0, "")
-            assert json.loads(out) == {"value": value, "integral": True}
+        code, out, err = run("count-max", "--n", str(n), "--d", str(d), "--k", str(k),
+                             "--g", str(g), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"value": value, "integral": True}
 
 
 def test_s_invariant_rational_round_trip():
@@ -178,6 +246,9 @@ def test_usage_errors_exit_2():
     assert run("s-invariant", "--n", "2", "--k", "1", "--g", "1", "--eps", "1",
                "--workers", "2")[:2] == (2, "")
     assert run("batch", "jobs.ndjson", "--format", "json")[:2] == (2, "")
+    count_max = ("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2")
+    assert run(*count_max, "--convention", "dual")[:2] == (2, "")
+    assert run(*count_max, "--workers", "2")[:2] == (2, "")
     assert run("vi", "--n", "4")[0] == 2
     assert run("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
                "--monomial", "spam")[0] == 2
@@ -228,12 +299,11 @@ def test_no_query_starts_a_process(monkeypatch, tmp_path):
                          "--format", "json", "--workers", "4")
     assert (code, err) == (0, "")
     code, out, err = run("count-max", "--n", "4", "--d", "2", "--k", "2", "--g", "3",
-                         "--format", "json", "--workers", "2")
+                         "--format", "json")
     assert (code, out, err) == (0, '{"value":"224","integral":true}\n', "")
     path = tmp_path / "jobs.ndjson"
     path.write_text(json.dumps({"subcommand": "vi", "output_format": "json",
-                                "parameters": {"n": 8, "k": 2, "g": 1, "e": 0},
-                                "parallelism": 2}) + "\n")
+                                "parameters": {"n": 8, "k": 2, "g": 1, "e": 0}}) + "\n")
     code, out, err = run("batch", str(path))
     assert (code, out, err) == (0, '{"value":"28","integral":true}\n', "")
 
@@ -259,7 +329,7 @@ def test_batch_runs_in_input_order(tmp_path):
          "parameters": {"n": 4, "k": 2, "g": 0, "e": 0, "monomial": [1]},
          "convention": "dual"},
         {"subcommand": "count-max", "output_format": "json",
-         "parameters": {"n": 2, "d": 1, "k": 1, "g": 2}, "parallelism": 2},
+         "parameters": {"n": 2, "d": 1, "k": 1, "g": 2}},
     ]
     path = tmp_path / "jobs.ndjson"
     path.write_text("\n".join(json.dumps(j) for j in jobs) + "\n")
@@ -334,8 +404,10 @@ def test_batch_rejects_unknown_job_keys(tmp_path):
     path.write_text("\n".join(json.dumps(j) for j in jobs) + "\n")
     code, out, err = run("batch", str(path))
     assert code == 2
-    assert out == '{"value":"6","integral":true}\n' * 2
-    assert err == "vicalc: batch line 2: unknown job key 'convnetion', 'output_fromat'\n"
+    # "parallelism" was accepted and ignored; it is now an unknown key too
+    assert out == '{"value":"6","integral":true}\n'
+    assert err == ("vicalc: batch line 2: unknown job key 'convnetion', 'output_fromat'\n"
+                   "vicalc: batch line 3: unknown job key 'parallelism'\n")
 
 
 def test_main_streams_and_code(capsys):

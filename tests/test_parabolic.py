@@ -1,4 +1,4 @@
-"""Parabolic weights, slopes, s-invariants, and the composed invariant."""
+"""Parabolic weights, degrees, s-invariants, and the composed invariant."""
 
 from fractions import Fraction
 
@@ -6,15 +6,11 @@ import pytest
 
 from vicalc.engine import InadmissibleQueryError
 from vicalc.parabolic import (
-    ConnectionSpectrum,
     MarkedPoint,
     ParabolicData,
-    moduli_dimension,
     parabolic_degree,
     parabolic_vi,
-    residue_degree_check,
     s_invariant,
-    slope_compare,
     weights_from_equivariant,
 )
 
@@ -54,21 +50,6 @@ def test_parabolic_degree_examples():
     assert parabolic_degree(two_points) == 1 + Fraction(1, 2) + 1
 
 
-def test_slope_trichotomy():
-    whole = ParabolicData(2, 1)
-    assert slope_compare(ParabolicData(1, 0), whole) == "strict_pass"
-    boundary_sub = ParabolicData(1, 0, ((("1/2",), (1,)),))
-    assert slope_compare(boundary_sub, whole) == "boundary"
-    assert slope_compare(ParabolicData(1, 1), whole) == "fail"
-
-
-def test_slope_needs_proper_subrank():
-    with pytest.raises(ValueError):
-        slope_compare(ParabolicData(2, 0), ParabolicData(2, 1))
-    with pytest.raises(ValueError):
-        slope_compare(ParabolicData(3, 0), ParabolicData(2, 1))
-
-
 def test_s_invariant_plain():
     assert s_invariant(2, 1, 3, 1) == 3
     assert s_invariant(4, 2, 1, 2) == 2
@@ -88,38 +69,6 @@ def test_s_invariant_guards():
         s_invariant(4, 2, 1, 4)
     with pytest.raises(ValueError, match="group order"):
         s_invariant(4, 2, 1, 1, group_order=-2)
-
-
-def test_moduli_dimension_examples():
-    assert moduli_dimension(2, 3, 2) == 16
-    assert moduli_dimension(1, 0, 0) == 0
-    with pytest.raises(ValueError):
-        moduli_dimension(0, 1, 1)
-
-
-def test_moduli_dimension_is_even():
-    for r in range(1, 5):
-        for pts in range(4):
-            for g in range(4):
-                assert moduli_dimension(r, pts, g) % 2 == 0
-
-
-def test_residue_degree_check():
-    balanced = ConnectionSpectrum(
-        2, 2, ((Fraction(1, 2), 0), (Fraction(-1, 4), Fraction(-1, 4))), 0
-    )
-    assert residue_degree_check(balanced)
-    skewed = ConnectionSpectrum(
-        2, 2, ((Fraction(1, 2), 0), (Fraction(-1, 4), Fraction(-1, 4))), 1
-    )
-    assert not residue_degree_check(skewed)
-
-
-def test_spectrum_shape_validation():
-    with pytest.raises(ValueError, match="rows"):
-        ConnectionSpectrum(2, 2, ((0, 0),), 0)
-    with pytest.raises(ValueError, match="eigenvalues"):
-        ConnectionSpectrum(1, 2, ((0,),), 0)
 
 
 def test_weights_from_equivariant():

@@ -94,14 +94,10 @@ def count_max_jobs(draw):
     g = draw(st.integers(0, 3))
     d = draw(st.integers(0, 2 * n - 1))
     fmt = draw(formats)
-    convention = draw(st.sampled_from((None,) + CONVENTIONS))
     job = {"subcommand": "count-max", "output_format": fmt,
            "parameters": {"n": n, "d": d, "k": k, "g": g}}
     argv = ["count-max", "--n", str(n), "--d", str(d), "--k", str(k), "--g", str(g),
             "--format", fmt]
-    if convention:
-        job["convention"] = convention
-        argv += ["--convention", convention]
     return job, argv
 
 
