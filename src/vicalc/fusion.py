@@ -3,8 +3,9 @@
 This is the cross-check for the root-of-unity engine, built from nothing
 but Littlewood-Richardson numbers and rim-hook reduction: basis = the
 C(n, k) partitions in the k x (n-k) box, counit = coefficient of the
-full box, handle element assembled from the inverse pairing.  A genus-g
-invariant is the counit of (product of insertions) * H^g.
+full box, handle element sum_i sigma_i * sigma_i^dual, the pairing being
+Poincare duality (a permutation matrix, inverted by transposing it).  A
+genus-g invariant is the counit of (product of insertions) * H^g.
 
 A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1))
@@ -144,18 +145,20 @@ class FusionAlgebra:
         return self._pairing
 
     def pairing_inverse(self):
-        """Exact inverse of the pairing; integer because the determinant is a unit."""
+        """Inverse of the pairing, which is Poincare duality: its own transpose.
+
+        counit(sigma_i * sigma_j) at q = 1 is the 3-point invariant
+        <sigma_i, sigma_j, 1>, which the fundamental-class axiom kills in
+        positive degree, so the pairing is a 0/1 permutation matrix.  Any
+        other matrix means the products are wrong and raises ArithmeticError.
+        """
         if self._pairing_inv is None:
-            inv = _invert_matrix(self.pairing(), Fraction(1))
-            out = []
-            for row in inv:
-                r = []
-                for x in row:
-                    if x.denominator != 1:
-                        raise ArithmeticError("pairing inverse is not integral")
-                    r.append(int(x))
-                out.append(r)
-            self._pairing_inv = out
+            mat = self.pairing()
+            cols = list(zip(*mat))
+            for line in mat + cols:
+                if sorted(x for x in line if x) != [1]:
+                    raise ArithmeticError("pairing is not a permutation matrix")
+            self._pairing_inv = [list(col) for col in cols]
         return self._pairing_inv
 
     def handle_element(self):

@@ -71,11 +71,19 @@ def parabolic_degree(data):
 
 
 def s_invariant(n, k, g, eps, group_order=0, weights=()):
-    """k(n-k)(g-1) + eps, plus the parabolic refinement N * sum(mu)."""
+    """k(n-k)(g-1) + eps, plus the parabolic refinement N * sum(mu).
+
+    Weights count only through the group order N, so weights given with
+    N = 0 are refused rather than ignored.
+    """
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
     if not 1 <= eps <= n - 1:
         raise ValueError("eps %d outside [1, %d]" % (eps, n - 1))
     if group_order < 0:
         raise ValueError("group order must be nonnegative")
+    if weights and not group_order:
+        raise ValueError("weights require a positive group order")
     total = Fraction(k * (n - k) * (g - 1) + eps)
     if group_order:
         total += group_order * sum(Fraction(w) for w in weights)

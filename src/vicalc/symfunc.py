@@ -1,8 +1,12 @@
 """Partitions, Littlewood-Richardson coefficients, and rim-hook reduction.
 
-The LR coefficient is computed by direct enumeration of skew tableaux
+LR coefficients come from direct enumeration of skew LR tableaux
 (deliberately: this routine is the independently auditable cross-check
 for everything downstream, so no determinant or crystal shortcuts).
+The tableaux are built letter by letter, each letter a horizontal strip
+that keeps the reverse reading word a lattice word, so one enumeration
+yields c^nu_{lam, mu} for every nu at once: quantum_product takes them
+all, lr_coefficient bounds the shapes by its nu.
 
 Rim-hook reduction rewrites a partition with at most k rows, modulo
 removal of border strips of size n, into a class inside the k x (n-k)
@@ -98,23 +102,6 @@ def partitions_in_box(rows, cols):
     return out
 
 
-def partitions_of(total, max_rows, max_part):
-    """Partitions of `total` with at most max_rows parts, each at most max_part."""
-    out = []
-
-    def rec(prefix, remaining, bound):
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        if len(prefix) == max_rows:
-            return
-        for p in range(min(bound, remaining), 0, -1):
-            rec(prefix + [p], remaining - p, p)
-
-    rec([], total, max_part)
-    return out
-
-
 def elementary_symmetric(j, values):
     """e_j of a list of cyclotomic numbers by the one-pass recurrence."""
     if j < 0:
@@ -135,58 +122,88 @@ def elementary_symmetric(j, values):
     return e[j]
 
 
+def _lr_strips(shape, prev, letter, size, rest, outer):
+    """Every way to add `size` copies of the next letter as a horizontal strip.
+
+    letter is the 0-based index of the letter and prev[r] counts the
+    previous letter in row r.  A strip is kept when the lattice condition
+    holds in every row: the copies in rows <= r number at most the previous
+    letter's in rows < r.  That condition keeps the later letters, `rest`
+    cells in all, out of rows <= letter, so a strip that leaves them too
+    little room inside `outer` below that row is cut off.
+    Returns (new shape, copies per row) pairs.
+    """
+    rows = len(shape)
+    low = min(letter + 1, rows)
+    caps = [outer[0] - shape[0]]
+    caps += [min(outer[r], shape[r - 1]) - shape[r] for r in range(1, rows)]
+    strip = [0] * (rows + 1)
+    free = [0] * (rows + 1)
+    for r in range(rows - 1, -1, -1):
+        strip[r] = strip[r + 1] + caps[r]
+        free[r] = free[r + 1] + outer[r] - shape[r]
+    out = []
+    added = [0] * rows
+
+    def place(r, left, room):
+        if left == 0:
+            if r <= low and rest > free[low]:
+                return
+            out.append((tuple([s + a for s, a in zip(shape, added)]), tuple(added)))
+            return
+        if left > strip[r] or (r == low and left + rest > free[low]):
+            return
+        top = min(caps[r], room, left)
+        room += prev[r]
+        for a in range(top, -1, -1):
+            added[r] = a
+            place(r + 1, left - a, room - a)
+        added[r] = 0
+
+    place(0, size, size if letter == 0 else 0)
+    return out
+
+
+def _lr_expand(lam, mu, outer):
+    """c^nu_{lam, mu} for every nu inside `outer`, from one tableau enumeration.
+
+    Enumerates the skew LR tableaux of shape nu/lam and content mu: the
+    mu_i copies of letter i go in as a horizontal strip on the current
+    shape, for i = 1..len(mu), which keeps rows weakly increasing and
+    columns strict, and each strip must keep the reverse reading word a
+    lattice word.  Partial tableaux with the same shape and the same rows
+    for their last letter have the same completions, so they are counted
+    together.  Returns {nu as a tuple of len(outer) row lengths: count}.
+    """
+    rows = len(outer)
+    if len(lam) > rows or any(lam.row(r) > outer[r] for r in range(rows)):
+        return {}
+    frontier = {(tuple(lam.row(r) for r in range(rows)), (0,) * rows): 1}
+    rest = mu.size()
+    for letter, size in enumerate(mu):
+        rest -= size
+        nxt = {}
+        for (shape, prev), count in frontier.items():
+            for key in _lr_strips(shape, prev, letter, size, rest, outer):
+                nxt[key] = nxt.get(key, 0) + count
+        frontier = nxt
+    out = {}
+    for (shape, _), count in frontier.items():
+        out[shape] = out.get(shape, 0) + count
+    return out
+
+
 def lr_coefficient(lam, mu, nu):
     """Littlewood-Richardson coefficient c^nu_{lam, mu} by tableau enumeration.
 
     Counts skew semistandard tableaux of shape nu/lam and content mu whose
-    reverse reading word is a lattice word.  Cells are filled in reading
-    order (rows top to bottom, right to left within a row) so the lattice
-    property can be enforced incrementally.
+    reverse reading word is a lattice word: the enumeration of
+    quantum_product, bounded by nu.
     """
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size() + mu.size() != nu.size():
         return 0
-    if not nu.contains(lam) or not nu.contains(mu):
-        return 0
-    cells = []
-    for r in range(len(nu)):
-        for c in range(nu.row(r) - 1, lam.row(r) - 1, -1):
-            cells.append((r, c))
-    if not cells:
-        return 1
-    m = len(mu)
-    grid = {}
-    counts = [0] * (m + 1)
-    remaining = [mu.row(i) for i in range(m)]
-
-    def fill(pos):
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        hi = m
-        right = grid.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        above = grid.get((r - 1, c))
-        lo = 1
-        if r > 0 and lam.row(r - 1) <= c < nu.row(r - 1):
-            lo = above + 1
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v - 1] >= counts[v - 2]:
-                continue
-            grid[(r, c)] = v
-            counts[v - 1] += 1
-            remaining[v - 1] -= 1
-            total += fill(pos + 1)
-            del grid[(r, c)]
-            counts[v - 1] -= 1
-            remaining[v - 1] += 1
-        return total
-
-    return fill(0)
+    return _lr_expand(lam, mu, nu.parts).get(nu.parts, 0)
 
 
 def _beta_numbers(lam, k):
@@ -280,20 +297,20 @@ class QuantumClassSum:
 
 
 def quantum_product(lam, mu, k, n):
-    """Product of two box classes in the rim-hook quotient, q kept formal."""
+    """Product of two box classes in the rim-hook quotient, q kept formal.
+
+    One LR enumeration gives every nu with at most k rows; since
+    c^nu_{lam, mu} = c^nu_{mu, lam}, the smaller class is laid in as letters.
+    """
     lam, mu = Partition(lam), Partition(mu)
     for p in (lam, mu):
         if not p.fits_in_box(k, n - k):
             raise ValueError("class outside box: %s in %dx%d" % (p.parts, k, n - k))
-    total = lam.size() + mu.size()
+    if mu.size() > lam.size():
+        lam, mu = mu, lam
     width = lam.row(0) + mu.row(0)
     acc = {}
-    for nu in partitions_of(total, k, width):
-        if not nu.contains(lam):
-            continue
-        c = lr_coefficient(lam, mu, nu)
-        if not c:
-            continue
+    for nu, c in _lr_expand(lam, mu, (width,) * k).items():
         red = rim_hook_reduce(nu, k, n)
         if red is None:
             continue

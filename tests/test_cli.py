@@ -245,6 +245,10 @@ def test_usage_errors_exit_2():
     assert run("qh-table", "--k", "2", "--n", "4", "--convention", "dual")[:2] == (2, "")
     assert run("s-invariant", "--n", "2", "--k", "1", "--g", "1", "--eps", "1",
                "--workers", "2")[:2] == (2, "")
+    # weights without a group order would be ignored; k must lie strictly inside (0, n)
+    assert run("s-invariant", "--n", "3", "--k", "1", "--g", "0", "--eps", "1",
+               "--weights", "1/2")[:2] == (2, "")
+    assert run("s-invariant", "--n", "3", "--k", "5", "--g", "0", "--eps", "1")[:2] == (2, "")
     assert run("batch", "jobs.ndjson", "--format", "json")[:2] == (2, "")
     count_max = ("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2")
     assert run(*count_max, "--convention", "dual")[:2] == (2, "")

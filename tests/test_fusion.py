@@ -7,6 +7,7 @@ import pytest
 
 from vicalc.engine import InadmissibleQueryError, InvariantQuery, vi_invariant
 from vicalc.fusion import (
+    FusionAlgebra,
     classes_for_query,
     correlator_genus_g,
     correlator_via_spectrum,
@@ -106,6 +107,24 @@ def test_pairing_inverse_is_inverse():
             for j in range(alg.dim):
                 s = sum(mat[i][t] * inv[t][j] for t in range(alg.dim))
                 assert s == (1 if i == j else 0)
+
+
+def test_pairing_inverse_refuses_non_permutation():
+    # a fresh algebra, so the cached one that other tests read stays sound
+    good = fusion_algebra(2, 4).pairing()
+    doubled = [[2 * x for x in row] for row in good]
+    extra = [list(row) for row in good]
+    extra[0][0] += 1
+    negated = [list(row) for row in good]
+    negated[0] = [-x for x in negated[0]]
+    zero_row = [list(row) for row in good]
+    zero_row[0] = [0] * len(good)
+    for bad in (doubled, extra, negated, zero_row):
+        alg = FusionAlgebra(2, 4)
+        alg._pairing = bad
+        with pytest.raises(ArithmeticError, match="permutation"):
+            alg.pairing_inverse()
+        assert alg._pairing_inv is None
 
 
 def test_genus_one_trace_counts_basis():

@@ -69,6 +69,11 @@ def test_s_invariant_guards():
         s_invariant(4, 2, 1, 4)
     with pytest.raises(ValueError, match="group order"):
         s_invariant(4, 2, 1, 1, group_order=-2)
+    with pytest.raises(ValueError, match="group order"):
+        s_invariant(3, 1, 0, 1, weights=(Fraction(1, 2),))
+    for k in (0, 3, 5):
+        with pytest.raises(ValueError, match="0 < k < n"):
+            s_invariant(3, k, 0, 1)
 
 
 def test_weights_from_equivariant():

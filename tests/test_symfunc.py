@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -11,14 +11,98 @@ from vicalc.cyclotomic import zeta
 from vicalc.symfunc import (
     Partition,
     QuantumClassSum,
+    _lr_expand,
     elementary_symmetric,
     lr_coefficient,
     partitions_in_box,
-    partitions_of,
     quantum_product,
     rim_hook_reduce,
     rim_hook_removals,
 )
+
+
+def partitions_of(total, max_rows, max_part):
+    """Partitions of `total` with at most max_rows parts, each at most max_part."""
+    out = []
+
+    def rec(prefix, remaining, bound):
+        if remaining == 0:
+            out.append(Partition(prefix))
+            return
+        if len(prefix) == max_rows:
+            return
+        for p in range(min(bound, remaining), 0, -1):
+            rec(prefix + [p], remaining - p, p)
+
+    rec([], total, max_part)
+    return out
+
+
+def reference_lr_coefficient(lam, mu, nu):
+    """c^nu_{lam, mu} by a fresh cell-by-cell tableau search for this one nu.
+
+    Fills the cells of nu/lam in reading order (rows top to bottom, right to
+    left within a row), enforcing semistandardness against the right and
+    upper neighbours and the lattice property of the reverse reading word
+    as each cell is filled.  The reference for the strip enumeration.
+    """
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if lam.size() + mu.size() != nu.size():
+        return 0
+    if not nu.contains(lam) or not nu.contains(mu):
+        return 0
+    cells = []
+    for r in range(len(nu)):
+        for c in range(nu.row(r) - 1, lam.row(r) - 1, -1):
+            cells.append((r, c))
+    if not cells:
+        return 1
+    m = len(mu)
+    grid = {}
+    counts = [0] * (m + 1)
+    remaining = [mu.row(i) for i in range(m)]
+
+    def fill(pos):
+        if pos == len(cells):
+            return 1
+        r, c = cells[pos]
+        hi = m
+        right = grid.get((r, c + 1))
+        if right is not None:
+            hi = min(hi, right)
+        above = grid.get((r - 1, c))
+        lo = 1
+        if r > 0 and lam.row(r - 1) <= c < nu.row(r - 1):
+            lo = above + 1
+        total = 0
+        for v in range(lo, hi + 1):
+            if remaining[v - 1] == 0:
+                continue
+            if v > 1 and counts[v - 1] >= counts[v - 2]:
+                continue
+            grid[(r, c)] = v
+            counts[v - 1] += 1
+            remaining[v - 1] -= 1
+            total += fill(pos + 1)
+            del grid[(r, c)]
+            counts[v - 1] -= 1
+            remaining[v - 1] += 1
+        return total
+
+    return fill(0)
+
+
+def reference_quantum_product(lam, mu, k, n):
+    """quantum_product with one reference search per candidate nu."""
+    lam, mu = Partition(lam), Partition(mu)
+    acc = {}
+    for nu in partitions_of(lam.size() + mu.size(), k, lam.row(0) + mu.row(0)):
+        c = reference_lr_coefficient(lam, mu, nu)
+        red = rim_hook_reduce(nu, k, n) if c else None
+        if red is not None:
+            key = (red[0].parts, red[1])
+            acc[key] = acc.get(key, 0) + red[2] * c
+    return QuantumClassSum(acc)
 
 
 def test_partition_validation():
@@ -60,17 +144,6 @@ def test_partitions_in_box_count():
             assert len(set(got)) == len(got)
             for p in got:
                 assert p.fits_in_box(rows, cols)
-
-
-def test_partitions_of_exhaustive():
-    for total in range(0, 9):
-        got = partitions_of(total, 4, 8)
-        for p in got:
-            assert p.size() == total
-            assert len(p) <= 4
-        assert len(set(got)) == len(got)
-    # all partitions of 6: 11 of them
-    assert len(partitions_of(6, 6, 6)) == 11
 
 
 def brute_elementary(j, values):
@@ -116,6 +189,56 @@ def test_lr_symmetry():
             for nu in partitions_of(lam.size() + mu.size(), 4, 8):
                 assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu), (
                     lam, mu, nu)
+
+
+SMALL_SHAPES = [p for total in range(0, 7) for p in partitions_of(total, 4, 6)]
+
+
+def test_lr_coefficient_matches_reference():
+    # every nu with at most 5 rows, contained or not, against a fresh search
+    triples = 0
+    for lam in SMALL_SHAPES:
+        for mu in SMALL_SHAPES:
+            total = lam.size() + mu.size()
+            for nu in partitions_of(total, 5, total):
+                want = reference_lr_coefficient(lam, mu, nu)
+                assert lr_coefficient(lam, mu, nu) == want, (lam, mu, nu)
+                triples += 1
+    assert triples == 17858
+
+
+def hook_length_count(lam):
+    """Standard Young tableaux of shape lam, by the hook-length formula."""
+    lam = Partition(lam)
+    conj = lam.conjugate()
+    hooks = 1
+    for r, length in enumerate(lam):
+        for c in range(length):
+            hooks *= (length - c - 1) + (conj.row(c) - r - 1) + 1
+    return factorial(lam.size()) // hooks
+
+
+def test_lr_expansion_hook_length_identity():
+    # sum_nu c^nu_{lam mu} f^nu = C(|lam|+|mu|, |lam|) f^lam f^mu, f = #SYT;
+    # the outer bound leaves room for every nu, so nothing is cut off
+    for lam in SMALL_SHAPES:
+        for mu in SMALL_SHAPES:
+            outer = (lam.row(0) + mu.row(0),) * (len(lam) + len(mu))
+            got = sum(c * hook_length_count(nu)
+                      for nu, c in _lr_expand(lam, mu, outer).items())
+            want = (comb(lam.size() + mu.size(), lam.size())
+                    * hook_length_count(lam) * hook_length_count(mu))
+            assert got == want, (lam, mu)
+
+
+def test_quantum_product_matches_reference():
+    for n in range(2, 8):
+        for k in range(1, n):
+            basis = partitions_in_box(k, n - k)
+            for lam in basis:
+                for mu in basis:
+                    assert quantum_product(lam, mu, k, n) == \
+                        reference_quantum_product(lam, mu, k, n), (lam, mu, k, n)
 
 
 def horizontal_strip(nu, lam):
