@@ -196,21 +196,21 @@ def _run_count_max(ns):
 def _run_qh_table(ns):
     if (ns.lhs is None) != (ns.rhs is None):
         raise UsageError("--lhs and --rhs must be given together")
-    if ns.lhs is not None:
-        pairs = [(Partition(_int_list(ns.lhs)), Partition(_int_list(ns.rhs)))]
-    else:
-        basis = partitions_in_box(ns.k, ns.n - ns.k)
-        pairs = [
-            (basis[i], basis[j])
-            for i in range(len(basis))
-            for j in range(i, len(basis))
+    try:
+        if ns.lhs is not None:
+            pairs = [(Partition(_int_list(ns.lhs)), Partition(_int_list(ns.rhs)))]
+        else:
+            basis = partitions_in_box(ns.k, ns.n - ns.k)
+            pairs = [
+                (basis[i], basis[j])
+                for i in range(len(basis))
+                for j in range(i, len(basis))
+            ]
+        products = [
+            (lam, mu, quantum_product(lam, mu, ns.k, ns.n)) for lam, mu in pairs
         ]
-    products = []
-    for lam, mu in pairs:
-        try:
-            products.append((lam, mu, quantum_product(lam, mu, ns.k, ns.n)))
-        except ValueError as ex:
-            raise UsageError(str(ex))
+    except ValueError as ex:
+        raise UsageError(str(ex))
     if ns.format == "json":
         obj = {
             "k": ns.k,

@@ -8,9 +8,9 @@ Poincare duality (a permutation matrix, inverted by transposing it).  A
 genus-g invariant is the counit of (product of insertions) * H^g.
 
 A second, spectral route evaluates the same trace through the algebra
-characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1))
-and the idempotent counits obtained by exact linear solves; tests hold
-the two routes equal.
+characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
+with each idempotent counit read off the handle element's character;
+tests hold the two routes equal.
 """
 
 from fractions import Fraction
@@ -68,11 +68,10 @@ class FusionAlgebra:
             i, j = j, i
         got = self._products.get((i, j))
         if got is None:
-            out = [0] * self.dim
+            got = [0] * self.dim
             qp = quantum_product(self.basis[i], self.basis[j], self.k, self.n)
-            for parts, coeff in qp.at_q1().items():
-                out[self.index[parts]] += coeff
-            got = out
+            for (parts, _), coeff in qp.items():
+                got[self.index[parts]] += coeff
             self._products[(i, j)] = got
         return got
 
@@ -192,26 +191,6 @@ class FusionAlgebra:
         return Fraction(self.counit(v))
 
 
-def _invert_matrix(mat, one):
-    """Gauss-Jordan inverse over any exact field whose unit is `one`."""
-    size = len(mat)
-    zero = one - one
-    a = [list(row) + [one if i == j else zero for j in range(size)]
-         for i, row in enumerate(mat)]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if a[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        lead = one / a[col][col]
-        a[col] = [x * lead for x in a[col]]
-        for r in range(size):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[size:] for row in a]
-
-
 def correlator_genus_g(classes, genus, k, n):
     return fusion_algebra(k, n).correlator(classes, genus)
 
@@ -274,25 +253,27 @@ def _det(mat, order):
 
 
 def correlator_via_spectrum(classes, genus, k, n):
-    """The same trace through characters and idempotent counits.
+    """The same trace through the algebra characters.
 
-    Solves the character matrix exactly for the idempotent coordinates;
-    intended for small n (the stability tests use n <= 5).
+    At each point t the handle element H = sum_lam s_lam s_lam^dual (the
+    dual being the box complement, the pairing's permutation) has the
+    character chi_t(H), the inverse of the idempotent counit there, so the
+    genus-g trace is sum_t prod s_class(t) * chi_t(H)^(g-1); see Abrams,
+    "Two-dimensional topological quantum field theories and Frobenius
+    algebras", 1996.  Intended for small n (the tests use n <= 5).
     """
     alg = fusion_algebra(k, n)
     order, pts = _spectrum_points(k, n)
-    chars = [
-        [_schur_value(p, vals, k, order) for p in alg.basis] for vals in pts
-    ]
-    one = CyclotomicNumber(order, [1])
-    idem = _invert_matrix(chars, one)
+    dual = [alg.index[p.box_complement(k, alg.cols).parts] for p in alg.basis]
     total = CyclotomicNumber(order, [])
-    for t in range(len(pts)):
-        val = one
+    for vals in pts:
+        chars = [_schur_value(p, vals, k, order) for p in alg.basis]
+        handle = CyclotomicNumber(order, [])
+        for i, j in enumerate(dual):
+            handle = handle + chars[i] * chars[j]
+        val = handle ** (genus - 1)
         for parts in classes:
-            val = val * chars[t][alg.class_index(parts)]
-        c_t = idem[alg.box_index][t]
-        val = val * c_t ** (1 - genus)
+            val = val * chars[alg.class_index(parts)]
         total = total + val
     return total.to_rational()
 

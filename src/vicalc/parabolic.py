@@ -78,6 +78,8 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
     """
     if not 0 < k < n:
         raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
     if not 1 <= eps <= n - 1:
         raise ValueError("eps %d outside [1, %d]" % (eps, n - 1))
     if group_order < 0:

@@ -12,7 +12,10 @@ Rim-hook reduction rewrites a partition with at most k rows, modulo
 removal of border strips of size n, into a class inside the k x (n-k)
 box.  Each removal contributes one power of q and the sign
 (-1)^(k - height of the strip).  The endpoint is independent of the
-removal order; tests assert this over all removal sequences.
+removal order, so it is read off the beta numbers mod n in closed form
+(Bertram, Ciocan-Fontanine and Fulton, "Quantum multiplication of Schur
+polynomials", J. Algebra 1999); tests hold it to every removal sequence
+of the one-strip walk.
 """
 
 from fractions import Fraction
@@ -206,102 +209,40 @@ def lr_coefficient(lam, mu, nu):
     return _lr_expand(lam, mu, nu.parts).get(nu.parts, 0)
 
 
-def _beta_numbers(lam, k):
-    return [lam.row(i) + k - 1 - i for i in range(k)]
-
-
-def _partition_from_beta(beta, k):
-    beta = sorted(beta, reverse=True)
-    return Partition([beta[i] - (k - 1 - i) for i in range(k)])
-
-
-def rim_hook_removals(lam, k, n):
-    """All single n-rim-hook removals from lam, as (new_partition, height) pairs."""
-    lam = Partition(lam)
-    beta = _beta_numbers(lam, k)
-    out = []
-    bset = set(beta)
-    for b in beta:
-        t = b - n
-        if t >= 0 and t not in bset:
-            height = sum(1 for x in beta if t < x < b) + 1
-            nb = [x for x in beta if x != b] + [t]
-            out.append((_partition_from_beta(nb, k), height))
-    return out
-
-
 def rim_hook_reduce(lam, k, n):
     """Reduce lam modulo n-rim hooks into the k x (n-k) box.
 
-    Returns (partition, q_exponent, sign) or None when no removal sequence
-    reaches the box (the class is zero).  The reduction endpoint does not
-    depend on which removable strip is taken first.
+    Works on the beta numbers beta_i = lam_i + k-1-i and their residues
+    r_i = beta_i mod n: a removal lowers one beta number by n, so the class
+    dies exactly when two residues coincide.  Otherwise the box class has
+    the residues, in decreasing order, as its beta numbers, q is
+    (sum beta - sum r)/n, and the sign is (-1)^((k-1)q + #{i<j : r_i < r_j}).
+    Returns (partition, q_exponent, sign), or None for the zero class.
     """
     lam = Partition(lam)
     if len(lam) > k:
         raise ValueError("class outside algebra: %s has more than %d rows" % (lam.parts, k))
-    q = 0
-    sign = 1
-    while not lam.fits_in_box(k, n - k):
-        moves = rim_hook_removals(lam, k, n)
-        if not moves:
-            return None
-        nxt, height = max(moves, key=lambda mh: mh[0].parts)
-        sign *= (-1) ** (k - height)
-        q += 1
-        lam = nxt
-    return lam, q, sign
-
-
-class QuantumClassSum:
-    """Integer combination of box classes with powers of the deformation q."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for key, coeff in dict(terms).items():
-                if coeff:
-                    parts, qexp = key
-                    data[(Partition(parts).parts, int(qexp))] = int(coeff)
-        object.__setattr__(self, "terms", data)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QuantumClassSum is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, QuantumClassSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "QuantumClassSum(0)"
-        bits = []
-        for (parts, qexp), coeff in sorted(self.terms.items()):
-            bits.append("%+d*q^%d*s%s" % (coeff, qexp, (parts,)))
-        return "QuantumClassSum(%s)" % " ".join(bits)
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def at_q1(self):
-        """Collapse q to 1: map from partition tuple to integer coefficient."""
-        out = {}
-        for (parts, _), coeff in self.terms.items():
-            out[parts] = out.get(parts, 0) + coeff
-            if out[parts] == 0:
-                del out[parts]
-        return out
+    beta = [lam.row(i) + k - 1 - i for i in range(k)]
+    res = [b % n for b in beta]
+    if len(set(res)) < k:
+        return None
+    q = (sum(beta) - sum(res)) // n
+    swaps = sum(1 for i in range(k) for j in range(i + 1, k) if res[i] < res[j])
+    res.sort(reverse=True)
+    box = Partition([r - (k - 1 - i) for i, r in enumerate(res)])
+    return box, q, (-1) ** ((k - 1) * q + swaps)
 
 
 def quantum_product(lam, mu, k, n):
     """Product of two box classes in the rim-hook quotient, q kept formal.
 
-    One LR enumeration gives every nu with at most k rows; since
-    c^nu_{lam, mu} = c^nu_{mu, lam}, the smaller class is laid in as letters.
+    Returns {(box class parts, q exponent): coefficient}, nonzero
+    coefficients only, keys in sorted order.  One LR enumeration gives
+    every nu with at most k rows; since c^nu_{lam, mu} = c^nu_{mu, lam},
+    the smaller class is laid in as letters.
     """
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
     lam, mu = Partition(lam), Partition(mu)
     for p in (lam, mu):
         if not p.fits_in_box(k, n - k):
@@ -317,4 +258,4 @@ def quantum_product(lam, mu, k, n):
         box_class, qexp, sign = red
         key = (box_class.parts, qexp)
         acc[key] = acc.get(key, 0) + sign * c
-    return QuantumClassSum(acc)
+    return {key: acc[key] for key in sorted(acc) if acc[key]}

@@ -1,5 +1,6 @@
 """Command line surface: formats, exit codes, batch files, the inert --workers."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -197,6 +198,38 @@ def test_qh_table_needs_both_sides():
     assert "together" in err
 
 
+def test_qh_table_refuses_shapes_outside_the_grassmannians():
+    # Gr(k, n) exists only for 0 < k < n
+    for k in ("0", "3", "5"):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run("qh-table", "--k", k, "--n", "3", "--format", fmt)
+            assert (code, out) == (2, ""), (k, fmt)
+            assert "need 0 < k < n" in err
+
+
+def test_qh_table_malformed_partition_is_usage_error():
+    code, out, err = run("qh-table", "--k", "2", "--n", "4", "--lhs", "2,3", "--rhs", "1")
+    assert (code, out) == (2, "")
+    assert "weakly decreasing" in err
+    code, out, err = run("qh-table", "--k", "2", "--n", "4", "--lhs", "3", "--rhs", "1")
+    assert (code, out) == (2, "")
+    assert "outside box" in err
+
+
+def test_qh_table_bytes_are_pinned():
+    # every table with n <= 7 in every format, hashed in one stream
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for k in range(1, n):
+            for fmt in ("text", "json", "csv"):
+                code, out, err = run("qh-table", "--k", str(k), "--n", str(n),
+                                     "--format", fmt)
+                assert (code, err) == (0, ""), (k, n, fmt)
+                digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "a7278479de546523990bdbc403fa18d6c6b56fe8a21de789c5fcc3e2df7e174b"
+
+
 def test_parabolic_degree_cli():
     code, out, err = run("parabolic-degree", "--rank", "2", "--degree", "0",
                          "--point", "1/4:1,3/4:1", "--format", "json")
@@ -249,6 +282,8 @@ def test_usage_errors_exit_2():
     assert run("s-invariant", "--n", "3", "--k", "1", "--g", "0", "--eps", "1",
                "--weights", "1/2")[:2] == (2, "")
     assert run("s-invariant", "--n", "3", "--k", "5", "--g", "0", "--eps", "1")[:2] == (2, "")
+    code, out, err = run("s-invariant", "--n", "3", "--k", "1", "--g", "-1", "--eps", "1")
+    assert (code, out, err) == (2, "", "vicalc: error: genus must be nonnegative\n")
     assert run("batch", "jobs.ndjson", "--format", "json")[:2] == (2, "")
     count_max = ("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2")
     assert run(*count_max, "--convention", "dual")[:2] == (2, "")

@@ -1,6 +1,7 @@
 """Fusion oracle: algebra structure, both trace routes, engine agreement."""
 
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -146,16 +147,29 @@ def test_negative_genus_rejected():
 
 
 def test_spectral_route_matches_handle_route():
+    # exhaustive for n <= 4: every k, g <= 2, every multiset of at most two
+    # box classes; then random draws on Gr(2, 5)
+    cases = 0
+    for n in range(2, 5):
+        for k in range(1, n):
+            alg = fusion_algebra(k, n)
+            parts = [p.parts for p in alg.basis]
+            multisets = [()] + [tuple(c) for r in (1, 2)
+                                for c in combinations_with_replacement(parts, r)]
+            for classes in multisets:
+                for g in range(3):
+                    assert correlator_via_spectrum(list(classes), g, k, n) == \
+                        alg.correlator(classes, g), (k, n, classes, g)
+                    cases += 1
+    assert cases == 252
     rng = random.Random(3)
-    cases = [(k, n) for n in range(2, 5) for k in range(1, n)] + [(2, 5)]
-    for k, n in cases:
-        alg = fusion_algebra(k, n)
-        for _ in range(3):
-            classes = [alg.basis[rng.randrange(alg.dim)].parts
-                       for _ in range(rng.randrange(4))]
-            g = rng.randrange(3)
-            assert correlator_via_spectrum(classes, g, k, n) == \
-                alg.correlator(classes, g), (k, n, classes, g)
+    alg = fusion_algebra(2, 5)
+    for _ in range(3):
+        classes = [alg.basis[rng.randrange(alg.dim)].parts
+                   for _ in range(rng.randrange(4))]
+        g = rng.randrange(3)
+        assert correlator_via_spectrum(classes, g, 2, 5) == \
+            alg.correlator(classes, g), (classes, g)
 
 
 def test_classes_for_query_conventions():

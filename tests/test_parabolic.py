@@ -74,6 +74,8 @@ def test_s_invariant_guards():
     for k in (0, 3, 5):
         with pytest.raises(ValueError, match="0 < k < n"):
             s_invariant(3, k, 0, 1)
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        s_invariant(3, 1, -1, 1)
 
 
 def test_weights_from_equivariant():
