@@ -195,9 +195,10 @@ def evaluate(query):
 def reference_term(n, k, genus, sigma_idx, exponents):
     """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic."""
     roots = [zeta(n, c) for c in exponents]
+    e = {j: elementary_symmetric(j, roots) for j in set(sigma_idx)}
     delta = CyclotomicNumber(n, [1])
     for j in sigma_idx:
-        delta = delta * elementary_symmetric(j, roots)
+        delta = delta * e[j]
     d = CyclotomicNumber(n, [1])
     for rho in roots:
         d = d * rho

@@ -5,7 +5,8 @@ but Littlewood-Richardson numbers and rim-hook reduction: basis = the
 C(n, k) partitions in the k x (n-k) box, counit = coefficient of the
 full box, handle element sum_i sigma_i * sigma_i^dual, the pairing being
 Poincare duality (a permutation matrix, inverted by transposing it).  A
-genus-g invariant is the counit of (product of insertions) * H^g.
+genus-g invariant is the counit of (product of insertions) * H^g, read
+through the pairing permutation, with the powers H^g kept per algebra.
 
 A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
@@ -52,7 +53,9 @@ class FusionAlgebra:
         self._products = {}
         self._pairing = None
         self._pairing_inv = None
+        self._dual = None
         self._handle = None
+        self._handle_powers = []
 
     def class_index(self, parts):
         p = Partition(parts)
@@ -158,6 +161,7 @@ class FusionAlgebra:
                 if sorted(x for x in line if x) != [1]:
                     raise ArithmeticError("pairing is not a permutation matrix")
             self._pairing_inv = [list(col) for col in cols]
+            self._dual = [row.index(1) for row in mat]
         return self._pairing_inv
 
     def handle_element(self):
@@ -176,19 +180,28 @@ class FusionAlgebra:
             self._handle = out
         return self._handle
 
+    def handle_power(self, genus):
+        """H^genus for genus >= 1, each power multiplied out once per algebra."""
+        powers = self._handle_powers
+        if not powers:
+            powers.append(self.handle_element())
+        while len(powers) < genus:
+            powers.append(self.multiply(powers[-1], powers[0]))
+        return powers[genus - 1]
+
     def correlator(self, classes, genus):
-        """Genus-g correlator of the given box classes, as an exact Fraction."""
+        """Genus-g correlator of the box classes, an exact Fraction: with v their
+        product, counit(v * H^g) = sum_i v_i * (H^g)[dual(i)], dual the pairing permutation."""
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         v = [0] * self.dim
         v[self.index[()]] = 1
         for parts in classes:
             v = self.multiply_class(v, self.class_index(parts))
-        if genus:
-            h = self.handle_element()
-            for _ in range(genus):
-                v = self.multiply(v, h)
-        return Fraction(self.counit(v))
+        if not genus:
+            return Fraction(self.counit(v))
+        h = self.handle_power(genus)
+        return Fraction(sum(vi * h[j] for vi, j in zip(v, self._dual) if vi))
 
 
 def correlator_genus_g(classes, genus, k, n):

@@ -1,6 +1,7 @@
 """Fusion oracle: algebra structure, both trace routes, engine agreement."""
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -22,6 +23,25 @@ def basis_vector(alg, i):
     v = [0] * alg.dim
     v[i] = 1
     return v
+
+
+def loop_correlator(alg, classes, genus):
+    """Reference: multiply the insertions' product by H, genus times, then take the counit."""
+    v = basis_vector(alg, alg.index[()])
+    for parts in classes:
+        v = alg.multiply_class(v, alg.class_index(parts))
+    if genus:
+        h = alg.handle_element()
+        for _ in range(genus):
+            v = alg.multiply(v, h)
+    return Fraction(alg.counit(v))
+
+
+def box_multisets(alg, size):
+    """Every multiset of at most `size` box classes, the empty one first."""
+    parts = [p.parts for p in alg.basis]
+    return [()] + [tuple(c) for r in range(1, size + 1)
+                   for c in combinations_with_replacement(parts, r)]
 
 
 def test_basis_dimension():
@@ -126,6 +146,36 @@ def test_pairing_inverse_refuses_non_permutation():
         with pytest.raises(ArithmeticError, match="permutation"):
             alg.pairing_inverse()
         assert alg._pairing_inv is None
+        # the genus >= 1 correlator reads the dual only after the check passes
+        alg = FusionAlgebra(2, 4)
+        alg._pairing = bad
+        with pytest.raises(ArithmeticError, match="permutation"):
+            alg.correlator([], 1)
+        assert alg._dual is None and alg._handle_powers == []
+
+
+def test_correlator_matches_genus_loop():
+    # every 0 < k < n <= 6, g <= 3, every multiset of at most two box classes
+    cases = 0
+    for n in range(2, 7):
+        for k in range(1, n):
+            alg = fusion_algebra(k, n)
+            for classes in box_multisets(alg, 2):
+                for g in range(4):
+                    assert alg.correlator(classes, g) == loop_correlator(alg, classes, g), \
+                        (k, n, classes, g)
+                    cases += 1
+    assert cases == 3268
+
+
+def test_handle_powers_are_repeated_products():
+    for k, n in ((1, 4), (2, 4), (2, 5), (3, 6)):
+        alg = FusionAlgebra(k, n)
+        alg.correlator([], 3)
+        h = alg.handle_element()
+        expected = [h, alg.multiply(h, h), alg.multiply(alg.multiply(h, h), h)]
+        assert alg._handle_powers == expected, (k, n)
+        assert [alg.handle_power(g) for g in (1, 2, 3)] == expected, (k, n)
 
 
 def test_genus_one_trace_counts_basis():
@@ -153,10 +203,7 @@ def test_spectral_route_matches_handle_route():
     for n in range(2, 5):
         for k in range(1, n):
             alg = fusion_algebra(k, n)
-            parts = [p.parts for p in alg.basis]
-            multisets = [()] + [tuple(c) for r in (1, 2)
-                                for c in combinations_with_replacement(parts, r)]
-            for classes in multisets:
+            for classes in box_multisets(alg, 2):
                 for g in range(3):
                     assert correlator_via_spectrum(list(classes), g, k, n) == \
                         alg.correlator(classes, g), (k, n, classes, g)
