@@ -73,10 +73,10 @@ def backend_name():
     return "pure"
 
 
-def term_bound_bits(n, k, genus, sigma_indices, count):
+def term_bound_bits(n, k, genus, columns, count):
     """Bit length of an L1 bound on every intermediate in the subset loop."""
     bound = 1
-    for j in sigma_indices:
+    for j in columns:
         bound *= comb(k, j)
     if genus == 0:
         bound <<= k * (k - 1)
@@ -98,13 +98,13 @@ def _root_of_phi(n, p):
     return None
 
 
-def field(n, k, genus, sigma_indices):
+def field(n, k, genus, columns):
     """(bits, p, w) for one query, shared by every rank range of its sum.
 
     bits is term_bound_bits over all C(n, k) subsets, p = 1 (mod n) lies
     above 2^(bits + SPARE_BITS), and Phi_n(w) = 0 (mod p).
     """
-    bits = term_bound_bits(n, k, genus, sigma_indices, comb(n, k))
+    bits = term_bound_bits(n, k, genus, columns, comb(n, k))
     got = _FIELDS.get((n, bits))
     if got is None:
         p = ((1 << (bits + SPARE_BITS)) // n + 1) * n + 1
@@ -173,7 +173,7 @@ def _orbit_representatives(n, k, lo, hi):
             yield tuple(tail), n * p // k
 
 
-def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
+def subset_power_sum(n, k, genus, columns, lo, hi):
     """Sum of orbit size times term over the necklace subsets among {0} + T,
     T over the lex ranks [lo, hi) of combinations(range(1, n), k - 1),
     mod field(...)'s p.
@@ -184,10 +184,10 @@ def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
     [lo, hi) ranges sums to that residue.  Raises ArithmeticError when
     the genus >= 2 denominator is not a unit mod p.
     """
-    _, p, w = field(n, k, genus, sigma_indices)
+    _, p, w = field(n, k, genus, columns)
     roots = [pow(w, c, p) for c in range(n)]
     diff = [[(a - b) % p for b in roots] for a in roots]
-    jmax = max(sigma_indices, default=0)
+    jmax = max(columns, default=0)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     # the factors every term shares: sign at genus 0, (n^k * sign)^(g-1) above it
     scale = sign if genus == 0 else pow(pow(n, k, p) * sign, genus - 1, p)
@@ -200,7 +200,7 @@ def subset_power_sum(n, k, genus, sigma_indices, lo, hi):
                 x = roots[c]
                 for j in range(min(jmax, seen), 0, -1):
                     e[j] = (e[j] + e[j - 1] * x) % p
-            term = term * prod(e[j] for j in sigma_indices) % p
+            term = term * prod(e[j] for j in columns) % p
         if genus == 1:
             num += term
             continue

@@ -427,7 +427,7 @@ def _job_to_argv(job):
     if not isinstance(sub, str) or sub not in _RUNNERS:
         raise UsageError("unknown subcommand %r" % (sub,))
     argv = [sub, "--format", _job_field(job, "output_format", str, "text")]
-    if job.get("convention"):
+    if "convention" in job:
         argv += ["--convention", _job_field(job, "convention", str)]
     for key, value in sorted(_job_field(job, "parameters", dict, {}).items()):
         flag = "--" + str(key).replace("_", "-")

@@ -295,10 +295,6 @@ def zeta(n, power=1):
     return _make(n, _table(n)[2][power % n], 1)
 
 
-def from_rational(n, value):
-    return CyclotomicNumber(n, [value])
-
-
 def root_power_sum(n, t):
     """Sum of rho^t over all n-th roots of unity: n when n | t, else 0."""
     return Fraction(n if t % n == 0 else 0)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cyclotomic import CyclotomicNumber, zeta
-from .engine import InadmissibleQueryError, _require_admissible, vi_invariant
+from .engine import _require_admissible
 from .symfunc import (
     Partition,
     elementary_symmetric,
@@ -295,21 +295,10 @@ def correlator_via_spectrum(classes, genus, k, n):
 # engine comparison
 
 def classes_for_query(query):
-    """Schubert classes realizing the query's monomial under its convention."""
-    out = []
-    for a in query.monomial:
-        j = query.k - a + 1 if query.convention == "paper" else a
-        out.append((1,) * j)
-    return out
+    """The column classes sigma_(1^j) the query inserts, j over its columns."""
+    return [(1,) * j for j in query.columns]
 
 
 def oracle_value(query):
-    if query.d != 0:
-        raise ValueError("bundle degree must be 0 here; route through degree_reduce")
     _require_admissible(query)
     return correlator_genus_g(classes_for_query(query), query.g, query.k, query.n)
-
-
-def oracle_compare(query):
-    """True when the fusion trace reproduces the root-of-unity value."""
-    return oracle_value(query) == vi_invariant(query).value

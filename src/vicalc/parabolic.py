@@ -74,7 +74,8 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
     """k(n-k)(g-1) + eps, plus the parabolic refinement N * sum(mu).
 
     Weights count only through the group order N, so weights given with
-    N = 0 are refused rather than ignored.
+    N = 0 are refused rather than ignored; each weight must lie in [0, 1),
+    as at a MarkedPoint.
     """
     if not 0 < k < n:
         raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
@@ -84,11 +85,15 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
         raise ValueError("eps %d outside [1, %d]" % (eps, n - 1))
     if group_order < 0:
         raise ValueError("group order must be nonnegative")
+    weights = [Fraction(w) for w in weights]
     if weights and not group_order:
         raise ValueError("weights require a positive group order")
+    for w in weights:
+        if not 0 <= w < 1:
+            raise ValueError("weight %s outside [0, 1)" % (w,))
     total = Fraction(k * (n - k) * (g - 1) + eps)
     if group_order:
-        total += group_order * sum(Fraction(w) for w in weights)
+        total += group_order * sum(weights)
     return total
 
 

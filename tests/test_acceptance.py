@@ -23,12 +23,10 @@ from vicalc.engine import (
     degree_reduce,
     evaluate,
     reference_term,
-    sigma_indices,
-    twist_reduce,
     vi_invariant,
     vi_reference,
 )
-from vicalc.fusion import correlator_genus_g, oracle_compare, oracle_value
+from vicalc.fusion import correlator_genus_g, oracle_value
 
 
 def admissible_suite(n, k, g, max_len):
@@ -80,8 +78,8 @@ def test_oracle_agrees_on_every_small_query():
         for k in range(1, n):
             for g in (0, 1, 2):
                 for q in admissible_suite(n, k, g, 8):
-                    assert oracle_compare(q), q
-                    assert oracle_compare(paper_twin(q)), paper_twin(q)
+                    for query in (q, paper_twin(q)):
+                        assert oracle_value(query) == vi_invariant(query).value, query
                     checked += 2
     elapsed = time.perf_counter() - started
     assert checked > 1000
@@ -96,7 +94,7 @@ def test_four_hyperplane_classes_both_routes():
     assert vi_invariant(dual).value == 2
     assert vi_invariant(paper).value == 2
     assert vi_reference(dual).value == 2
-    assert oracle_compare(dual) and oracle_compare(paper)
+    assert oracle_value(dual) == oracle_value(paper) == 2
 
 
 def test_genus_one_with_no_insertions_counts_the_basis():
@@ -119,9 +117,7 @@ def test_twisting_by_a_line_bundle_changes_nothing():
     for _ in range(100):
         q = rng.choice(pool)
         d_line = rng.randint(-3, 3)
-        twisted = twist_reduce(q, d_line)
-        assert twisted.d == q.d + q.n * d_line
-        assert twisted.e == q.e + q.k * d_line
+        twisted = replace(q, d=q.d + q.n * d_line, e=q.e + q.k * d_line)
         assert evaluate(twisted).value == vi_invariant(q).value, (q, d_line)
 
 
@@ -140,12 +136,11 @@ def test_degree_reduction_rewrites_d_into_the_monomial():
             expected = replace(
                 q, d=0, e=q.e - a * k, monomial=q.monomial + (k,) * b
             )
-            assert degree_reduce(q) == [expected], (q0, d)
+            assert degree_reduce(q) == expected, (q0, d)
         # a twist is the b = 0 case and must evaluate to the same number
         for d_line in (1, 2, 3):
-            twisted = twist_reduce(q0, d_line)
-            assert 1 <= twisted.d <= 3 * n
-            reduced = degree_reduce(twisted)[0]
+            twisted = replace(q0, d=n * d_line, e=q0.e + k * d_line)
+            reduced = degree_reduce(twisted)
             assert reduced.monomial == q0.monomial
             assert vi_invariant(reduced).value == vi_invariant(q0).value
 
@@ -158,7 +153,7 @@ def test_tuple_sum_is_k_factorial_times_subset_sum():
                 if not queries:
                     continue
                 q = queries[len(queries) // 2]
-                sig = sigma_indices(q)
+                sig = q.columns
                 for subset in combinations(range(n), k):
                     rep = reference_term(n, k, g, sig, subset)
                     tuple_total = None

@@ -281,6 +281,9 @@ def test_usage_errors_exit_2():
     # weights without a group order would be ignored; k must lie strictly inside (0, n)
     assert run("s-invariant", "--n", "3", "--k", "1", "--g", "0", "--eps", "1",
                "--weights", "1/2")[:2] == (2, "")
+    # and weights outside [0, 1) would shift the value without meaning
+    assert run("s-invariant", "--n", "4", "--k", "2", "--g", "0", "--eps", "1",
+               "--group-order", "2", "--weights", "3/2")[:2] == (2, "")
     assert run("s-invariant", "--n", "3", "--k", "5", "--g", "0", "--eps", "1")[:2] == (2, "")
     code, out, err = run("s-invariant", "--n", "3", "--k", "1", "--g", "-1", "--eps", "1")
     assert (code, out, err) == (2, "", "vicalc: error: genus must be nonnegative\n")
@@ -417,6 +420,13 @@ def test_batch_survives_malformed_fields(tmp_path):
         {"subcommand": "vi", "output_format": 5, "parameters": {"n": 4}},
         {"subcommand": "vi", "convention": 5, "parameters": {"n": 4}},
         {"subcommand": [1]},
+        # a falsy convention is refused, not dropped
+        {"subcommand": "count-max", "convention": "",
+         "parameters": {"n": 3, "d": 1, "k": 2, "g": 2}},
+        {"subcommand": "vi", "convention": None, "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}},
+        {"subcommand": "vi", "convention": 0, "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}},
+        {"subcommand": "vi", "convention": False, "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}},
+        {"subcommand": "vi", "convention": "", "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}},
     ]
     path = tmp_path / "jobs.ndjson"
     path.write_text("\n".join([good] + [json.dumps(b) for b in bad] + [good]) + "\n")
@@ -424,11 +434,17 @@ def test_batch_survives_malformed_fields(tmp_path):
     assert code == 2
     assert out == '{"value":"6","integral":true}\n' * 2
     assert "Traceback" not in err
-    for needle in ("line 2: parameters must be a JSON object",
-                   "line 3: output_format must be a JSON string",
-                   "line 4: convention must be a JSON string",
-                   "line 5: unknown subcommand"):
-        assert "vicalc: batch " + needle in err
+    for needle in ("vicalc: batch line 2: parameters must be a JSON object",
+                   "vicalc: batch line 3: output_format must be a JSON string",
+                   "vicalc: batch line 4: convention must be a JSON string",
+                   "vicalc: batch line 5: unknown subcommand",
+                   "unrecognized arguments: --convention",
+                   "vicalc: batch line 7: convention must be a JSON string, got null",
+                   "vicalc: batch line 8: convention must be a JSON string, got 0",
+                   "vicalc: batch line 9: convention must be a JSON string, got false",
+                   "argument --convention: invalid choice: ''"):
+        assert needle in err
+    assert err.count("batch line 6: usage:") == err.count("batch line 10: usage:") == 1
 
 
 def test_batch_rejects_unknown_job_keys(tmp_path):

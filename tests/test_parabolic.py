@@ -71,6 +71,10 @@ def test_s_invariant_guards():
         s_invariant(4, 2, 1, 1, group_order=-2)
     with pytest.raises(ValueError, match="group order"):
         s_invariant(3, 1, 0, 1, weights=(Fraction(1, 2),))
+    # weights lie in [0, 1), as at a MarkedPoint
+    for w in (Fraction(3, 2), 1, Fraction(-1, 4)):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            s_invariant(4, 2, 0, 1, group_order=2, weights=(0, w))
     for k in (0, 3, 5):
         with pytest.raises(ValueError, match="0 < k < n"):
             s_invariant(3, k, 0, 1)

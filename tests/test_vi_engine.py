@@ -1,6 +1,7 @@
 """Root-of-unity engine: examples, reductions, kernels, and counts."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd
@@ -10,20 +11,20 @@ import pytest
 from vicalc import backend
 from vicalc.cli import _execute
 from vicalc.engine import (
+    CONVENTIONS,
     InadmissibleQueryError,
     InvariantQuery,
-    check_admissible,
     count_maximal,
     degree_reduce,
     evaluate,
-    monomial_weight,
     reference_term,
     required_weight,
-    sigma_indices,
-    twist_reduce,
     vi_invariant,
     vi_reference,
 )
+from vicalc.fusion import classes_for_query, oracle_value
+
+ROUTES = (vi_invariant, vi_reference, oracle_value)
 
 
 def admissible_queries(n, k, g, max_len, convention="dual"):
@@ -57,20 +58,35 @@ def test_query_validation():
         InvariantQuery(n=4, k=2, g=0, e=0, convention="mixed")
 
 
+def admissible(query):
+    return sum(query.columns) == required_weight(query)
+
+
 def test_admissibility_examples():
-    assert check_admissible(InvariantQuery(2, 1, 1, -1, monomial=(1, 1)))
-    assert check_admissible(InvariantQuery(3, 1, 1, 0, monomial=()))
-    assert not check_admissible(InvariantQuery(2, 1, 1, 0, monomial=(1,)))
+    assert admissible(InvariantQuery(2, 1, 1, -1, monomial=(1, 1)))
+    assert admissible(InvariantQuery(3, 1, 1, 0, monomial=()))
+    assert not admissible(InvariantQuery(2, 1, 1, 0, monomial=(1,)))
 
 
-def test_weights_by_convention():
-    q = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="paper")
-    assert monomial_weight(q) == (3 - 1 + 1) + (3 - 2 + 1) + (3 - 3 + 1)
-    assert sigma_indices(q) == (1, 2, 3)
-    qd = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="dual")
-    assert monomial_weight(qd) == 6
-    assert sigma_indices(qd) == (1, 2, 3)
+def test_columns_resolve_the_spelling_once():
+    # paper label a is sigma_(1^(k-a+1)), dual label a is sigma_(1^a), sorted
+    q = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3, 3), convention="paper")
+    assert q.columns == (1, 1, 2, 3)
+    assert classes_for_query(q) == [(1,), (1,), (1, 1), (1, 1, 1)]
+    qd = InvariantQuery(5, 3, 0, 0, monomial=(3, 1, 2), convention="dual")
+    assert qd.columns == (1, 2, 3)
+    assert classes_for_query(qd) == [(1,), (1, 1), (1, 1, 1)]
+    # replace() builds a new query, whose columns follow its own fields
+    assert replace(q, convention="dual").columns == (1, 2, 3, 3)
+    assert replace(q, k=4, monomial=(1, 4)).columns == (1, 4)
+    assert replace(qd, monomial=(2, 2)).columns == (2, 2)
     assert required_weight(InvariantQuery(4, 2, 2, -3, monomial=())) == 12 - 4
+    for n, k, g in ((4, 2, 0), (5, 3, 1), (6, 2, 2), (6, 3, 0)):
+        for convention in CONVENTIONS:
+            pool = admissible_queries(n, k, g, 4, convention)
+            assert pool, (n, k, g, convention)
+            for query in pool:
+                assert admissible(query), query
 
 
 def test_invariant_examples():
@@ -82,16 +98,22 @@ def test_invariant_examples():
 
 
 def test_inadmissible_raises_with_both_tallies():
-    with pytest.raises(InadmissibleQueryError) as err:
-        vi_invariant(InvariantQuery(2, 1, 1, 0, monomial=(1,)))
-    msg = str(err.value)
-    assert "degree condition violated" in msg
-    assert "1" in msg and "0" in msg
+    # every route passes the one guard
+    for route in ROUTES:
+        with pytest.raises(InadmissibleQueryError) as err:
+            route(InvariantQuery(2, 1, 1, 0, monomial=(1,)))
+        assert str(err.value) == ("degree condition violated: monomial weighted "
+                                  "degree 1 != -e*n + k(n-k)(1-g) = 0"), route
 
 
 def test_nonzero_degree_must_be_reduced():
-    with pytest.raises(ValueError, match="degree_reduce"):
-        vi_invariant(InvariantQuery(3, 1, 1, 0, d=3, monomial=()))
+    # an admissible query, were it reduced; the d check comes first
+    for route in ROUTES:
+        for q in (InvariantQuery(3, 1, 1, 0, d=3, monomial=()),
+                  InvariantQuery(4, 2, 0, 0, d=4, monomial=(1,), convention="dual")):
+            with pytest.raises(ValueError, match="route through degree_reduce") as err:
+                route(q)
+            assert not isinstance(err.value, InadmissibleQueryError), (route, q)
 
 
 def test_genus_one_counts_subsets():
@@ -131,7 +153,7 @@ def test_subset_sum_equals_tuple_sum_term_exact():
                 if not queries:
                     continue
                 q = queries[len(queries) // 2]
-                sig = sigma_indices(q)
+                sig = q.columns
                 subset_total = None
                 tuple_total = None
                 for subset in combinations(range(n), k):
@@ -146,26 +168,25 @@ def test_subset_sum_equals_tuple_sum_term_exact():
 
 
 def test_twist_reduce_examples():
-    q = InvariantQuery(3, 1, 1, 2, monomial=())
-    assert twist_reduce(q, 0) == q
-    t = twist_reduce(q, 1)
-    assert (t.d, t.e) == (3, 3)
-    q2 = InvariantQuery(2, 1, 0, 1, d=2, monomial=(1, 1))
-    t2 = twist_reduce(q2, -1)
-    assert (t2.d, t2.e) == (0, 0)
-    assert t2.monomial == q2.monomial and t2.g == q2.g
+    # a line bundle twist (d += n*dL, e += k*dL) is the b = 0 case of
+    # degree_reduce, which undoes it
+    for q in (InvariantQuery(3, 1, 1, 2, monomial=()),
+              InvariantQuery(5, 2, 0, 1, monomial=(1, 1), convention="dual")):
+        for d_l in (1, 2, 4):
+            twisted = replace(q, d=q.n * d_l, e=q.e + q.k * d_l)
+            assert degree_reduce(twisted) == q, (q, d_l)
 
 
 def test_degree_reduce_shapes():
     q0 = InvariantQuery(4, 2, 1, -1, monomial=(2, 2))
-    assert degree_reduce(q0) == [q0]
+    assert degree_reduce(q0) is q0
     # b = 0: only e moves
     q = InvariantQuery(4, 2, 1, 1, d=8, monomial=())
-    (red,) = degree_reduce(q)
+    red = degree_reduce(q)
     assert (red.d, red.e, red.monomial) == (0, 1 - 2 * 2, ())
     # b > 0: monomial gains b top classes
     q = InvariantQuery(5, 2, 1, 0, d=7, monomial=(1,))
-    (red,) = degree_reduce(q)
+    red = degree_reduce(q)
     assert (red.d, red.e) == (0, -4)
     assert red.monomial == (1,) + (2,) * 3
 
@@ -177,14 +198,13 @@ def test_degree_reduce_pipeline_matches_direct():
             pool = admissible_queries(n, k, g, 4)
             for q in rng.sample(pool, min(2, len(pool))):
                 for d_l in (-2, -1, 1, 2, 3):
-                    twisted = twist_reduce(q, d_l)
-                    assert twisted.d == n * d_l
+                    twisted = replace(q, d=n * d_l, e=q.e + k * d_l)
                     assert evaluate(twisted).value == vi_invariant(q).value, (q, d_l)
 
 
 def test_rank_splits_sum_to_the_full_residue():
     q = InvariantQuery(10, 3, 2, -3, monomial=(3, 3, 3), convention="dual")
-    assert check_admissible(q)
+    assert admissible(q)
     assert vi_invariant(q).value == vi_reference(q).value
     # any split of the ranks of [0, C(n-1, k-1)), the subsets containing 0,
     # into [lo, hi) ranges sums to the full residue; (12, 4) and (12, 6)
