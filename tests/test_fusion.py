@@ -10,6 +10,7 @@ import pytest
 from vicalc.engine import InadmissibleQueryError, InvariantQuery, vi_invariant
 from vicalc.fusion import (
     FusionAlgebra,
+    classes_for_query,
     correlator_genus_g,
     correlator_via_spectrum,
     fusion_algebra,
@@ -215,6 +216,14 @@ def test_spectral_route_matches_handle_route():
         g = rng.randrange(3)
         assert correlator_via_spectrum(classes, g, 2, 5) == \
             alg.correlator(classes, g), (classes, g)
+
+
+def test_classes_for_query_conventions():
+    # both spellings of the same classes; the list is sorted by column
+    qp = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="paper")
+    assert classes_for_query(qp) == [(1,), (1, 1), (1, 1, 1)]
+    qd = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="dual")
+    assert classes_for_query(qd) == [(1,), (1, 1), (1, 1, 1)]
 
 
 def test_oracle_requires_reduced_degree():

@@ -68,8 +68,19 @@ def test_admissibility_examples():
     assert not admissible(InvariantQuery(2, 1, 1, 0, monomial=(1,)))
 
 
+def test_weights_by_convention():
+    # paper label a is sigma_(1^(k-a+1)), dual label a is sigma_(1^a), sorted;
+    # the weighted degree of the monomial is sum(columns)
+    q = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="paper")
+    assert sum(q.columns) == (3 - 1 + 1) + (3 - 2 + 1) + (3 - 3 + 1)
+    assert q.columns == (1, 2, 3)
+    qd = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="dual")
+    assert sum(qd.columns) == 6
+    assert qd.columns == (1, 2, 3)
+    assert required_weight(InvariantQuery(4, 2, 2, -3, monomial=())) == 12 - 4
+
+
 def test_columns_resolve_the_spelling_once():
-    # paper label a is sigma_(1^(k-a+1)), dual label a is sigma_(1^a), sorted
     q = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3, 3), convention="paper")
     assert q.columns == (1, 1, 2, 3)
     assert classes_for_query(q) == [(1,), (1,), (1, 1), (1, 1, 1)]
@@ -80,7 +91,6 @@ def test_columns_resolve_the_spelling_once():
     assert replace(q, convention="dual").columns == (1, 2, 3, 3)
     assert replace(q, k=4, monomial=(1, 4)).columns == (1, 4)
     assert replace(qd, monomial=(2, 2)).columns == (2, 2)
-    assert required_weight(InvariantQuery(4, 2, 2, -3, monomial=())) == 12 - 4
     for n, k, g in ((4, 2, 0), (5, 3, 1), (6, 2, 2), (6, 3, 0)):
         for convention in CONVENTIONS:
             pool = admissible_queries(n, k, g, 4, convention)
