@@ -9,9 +9,10 @@ form of corollary-report is its own three lines.  count-max always
 reports the dual spelling of its query.
 
 Exit codes: 0 success, 2 usage error (including a --workers value that
-is not a nonnegative integer, an option the subcommand does not take,
-and a batch line that is not a well-formed job or has an unknown
-top-level key), 3 inadmissible query (the requested value does not
+is not a nonnegative integer, an option the subcommand does not take or
+an abbreviated one, and a batch line that is not a well-formed job, has
+an unknown top-level key, or has a help, format or convention
+parameter), 3 inadmissible query (the requested value does not
 exist: degree condition violated), 4 internal invariant violation (the
 algebra promised something the computation broke, e.g. a subset sum
 outside its L1 bound).
@@ -34,6 +35,7 @@ from fractions import Fraction
 
 from .cyclotomic import root_power_sum
 from .engine import (
+    CONVENTIONS,
     InadmissibleQueryError,
     InvariantQuery,
     count_maximal,
@@ -346,12 +348,13 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="vicalc",
         description="Exact Grassmannian invariants from root-of-unity sums.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("vi", parents=[formatted],
+    p = sub.add_parser("vi", allow_abbrev=False, parents=[formatted],
                        help="genus-g invariant on the degree-0 locus")
-    p.add_argument("--convention", choices=("paper", "dual"), default="paper")
+    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
     p.add_argument("--workers", type=worker_count, default=0,
                    help="accepted for compatibility; has no effect")
     p.add_argument("--n", type=int, required=True)
@@ -362,28 +365,28 @@ def build_parser():
     p.add_argument("--monomial", default="",
                    help="insertion subscripts, comma separated")
 
-    p = sub.add_parser("count-max", parents=[formatted],
+    p = sub.add_parser("count-max", allow_abbrev=False, parents=[formatted],
                        help="maximal-subbundle count m(n,d,k,g)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
 
-    p = sub.add_parser("qh-table", parents=[formatted],
+    p = sub.add_parser("qh-table", allow_abbrev=False, parents=[formatted],
                        help="quantum product expansions over the box basis")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lhs", default=None, help="left partition, comma separated")
     p.add_argument("--rhs", default=None, help="right partition, comma separated")
 
-    p = sub.add_parser("parabolic-degree", parents=[formatted],
+    p = sub.add_parser("parabolic-degree", allow_abbrev=False, parents=[formatted],
                        help="ordinary degree plus weighted flag contributions")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--point", action="append", default=[],
                    help="marked point as weight:mult,weight:mult,...")
 
-    p = sub.add_parser("s-invariant", parents=[formatted],
+    p = sub.add_parser("s-invariant", allow_abbrev=False, parents=[formatted],
                        help="k(n-k)(g-1) + eps + N * sum of weights")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -394,13 +397,13 @@ def build_parser():
     p.add_argument("--exponents", default=None,
                    help="equivariant exponents, converted via --group-order")
 
-    p = sub.add_parser("corollary-report", parents=[formatted],
+    p = sub.add_parser("corollary-report", allow_abbrev=False, parents=[formatted],
                        help="published n^(ng) claim next to the formula value")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
 
-    p = sub.add_parser("batch", help="run one JSON job per line of a file")
+    p = sub.add_parser("batch", allow_abbrev=False, help="run one JSON job per line of a file")
     p.add_argument("path")
 
     return parser
@@ -415,6 +418,13 @@ def _job_field(job, key, kind, default=None):
 
 
 _JOB_KEYS = frozenset(("subcommand", "output_format", "convention", "parameters"))
+# parameters that would reach argparse as something other than a query option:
+# --help prints to stdout, and --format or --convention would override the job's own key
+_REFUSED_PARAMETERS = {
+    "help": "a job prints no help",
+    "format": 'give it as the job\'s "output_format"',
+    "convention": 'give it as the job\'s "convention"',
+}
 
 
 def _job_to_argv(job):
@@ -430,6 +440,8 @@ def _job_to_argv(job):
     if "convention" in job:
         argv += ["--convention", _job_field(job, "convention", str)]
     for key, value in sorted(_job_field(job, "parameters", dict, {}).items()):
+        if key in _REFUSED_PARAMETERS:
+            raise UsageError("parameter %r refused: %s" % (key, _REFUSED_PARAMETERS[key]))
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, (list, tuple)):
             if key == "point":

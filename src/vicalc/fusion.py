@@ -4,9 +4,10 @@ This is the cross-check for the root-of-unity engine, built from nothing
 but Littlewood-Richardson numbers and rim-hook reduction: basis = the
 C(n, k) partitions in the k x (n-k) box, counit = coefficient of the
 full box, handle element sum_i sigma_i * sigma_i^dual, the pairing being
-Poincare duality (a permutation matrix, inverted by transposing it).  A
-genus-g invariant is the counit of (product of insertions) * H^g, read
-through the pairing permutation, with the powers H^g kept per algebra.
+Poincare duality, kept as the one permutation dual() and checked against
+LR numbers over the box preimages.  A genus-g invariant is the counit of
+(product of insertions) * H^g, read through that permutation, with the
+powers H^g kept per algebra.
 
 A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
@@ -15,7 +16,7 @@ tests hold the two routes equal.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .cyclotomic import CyclotomicNumber, zeta
 from .engine import _require_admissible
@@ -48,11 +49,8 @@ class FusionAlgebra:
         self.basis = partitions_in_box(k, self.cols)
         self.dim = len(self.basis)
         self.index = {p.parts: i for i, p in enumerate(self.basis)}
-        self.box = Partition([self.cols] * k)
-        self.box_index = self.index[self.box.parts]
+        self.box_index = self.index[(self.cols,) * k]
         self._products = {}
-        self._pairing = None
-        self._pairing_inv = None
         self._dual = None
         self._handle = None
         self._handle_powers = []
@@ -104,80 +102,49 @@ class FusionAlgebra:
     def counit(self, v):
         return v[self.box_index]
 
-    def _box_preimages(self, strips):
-        """Partitions reducing to the box after removing `strips` n-hooks."""
-        k, n = self.k, self.n
-        beta0 = tuple(self.cols + k - 1 - i for i in range(k))
-        frontier = {beta0}
-        for _ in range(strips):
-            nxt = set()
-            for beta in frontier:
-                for pos in range(k):
-                    cand = beta[pos] + n
-                    if cand not in beta:
-                        nb = tuple(sorted(beta[:pos] + beta[pos + 1 :] + (cand,), reverse=True))
-                        nxt.add(nb)
-            frontier = nxt
-        out = []
-        for beta in frontier:
-            out.append(Partition([beta[i] - (k - 1 - i) for i in range(k)]))
-        return out
+    def dual(self):
+        """The pairing permutation: counit(sigma_i * sigma_j) = [j == dual[i]].
 
-    def pairing(self):
-        """Matrix of counit(sigma_i * sigma_j), built from box preimages only."""
-        if self._pairing is None:
-            k, n = self.k, self.n
-            top = k * self.cols
-            mat = [[0] * self.dim for _ in range(self.dim)]
+        The pairing at q = 1 is the 3-point invariant <sigma_i, sigma_j, 1>,
+        which the fundamental-class axiom kills in positive degree: Poincare
+        duality.  Each entry j >= i comes from LR numbers over the box
+        preimages and rim-hook signs, never from the products, and anything
+        but a single 1 per row means wrong products: ArithmeticError.
+        """
+        if self._dual is None:
+            k, n, top = self.k, self.n, self.k * self.cols
+            box = self.basis[self.box_index]
+            preimages = {m: box_preimages(k, n, m) for m in range(top // n + 1)}
+            dual = [None] * self.dim
             for i, lam in enumerate(self.basis):
-                for j in range(i, self.dim):
-                    mu = self.basis[j]
-                    diff = lam.size() + mu.size() - top
-                    if diff < 0 or diff % n:
+                for j, mu in enumerate(self.basis[i:], i):
+                    strips, rem = divmod(lam.size() + mu.size() - top, n)
+                    if strips < 0 or rem:
                         continue
                     total = 0
-                    for nu in self._box_preimages(diff // n):
+                    for nu in preimages[strips]:
                         c = lr_coefficient(lam, mu, nu)
                         if c:
                             red = rim_hook_reduce(nu, k, n)
-                            assert red is not None and red[0] == self.box
+                            if red is None or red[0] != box:
+                                raise ArithmeticError("pairing is not a permutation matrix")
                             total += red[2] * c
-                    mat[i][j] = mat[j][i] = total
-            self._pairing = mat
-        return self._pairing
-
-    def pairing_inverse(self):
-        """Inverse of the pairing, which is Poincare duality: its own transpose.
-
-        counit(sigma_i * sigma_j) at q = 1 is the 3-point invariant
-        <sigma_i, sigma_j, 1>, which the fundamental-class axiom kills in
-        positive degree, so the pairing is a 0/1 permutation matrix.  Any
-        other matrix means the products are wrong and raises ArithmeticError.
-        """
-        if self._pairing_inv is None:
-            mat = self.pairing()
-            cols = list(zip(*mat))
-            for line in mat + cols:
-                if sorted(x for x in line if x) != [1]:
-                    raise ArithmeticError("pairing is not a permutation matrix")
-            self._pairing_inv = [list(col) for col in cols]
-            self._dual = [row.index(1) for row in mat]
-        return self._pairing_inv
+                    if total:
+                        # entry (i, j) is entry (j, i): each is the one entry of its row
+                        if total != 1 or dual[i] is not None or dual[j] is not None:
+                            raise ArithmeticError("pairing is not a permutation matrix")
+                        dual[i], dual[j] = j, i
+            if None in dual:
+                raise ArithmeticError("pairing is not a permutation matrix")
+            self._dual = dual
+        return self._dual
 
     def handle_element(self):
-        """Sum of eta^(ij) sigma_i sigma_j; one factor per genus in the trace."""
+        """H = sum_i sigma_i * sigma_dual(i), as the pairing's inverse is its
+        transpose, the permutation dual() itself; one factor per genus."""
         if self._handle is None:
-            inv = self.pairing_inverse()
-            out = [0] * self.dim
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    c = inv[i][j]
-                    if c:
-                        pv = self.product_vector(i, j)
-                        for t, p in enumerate(pv):
-                            if p:
-                                out[t] += c * p
-            self._handle = out
+            terms = (self.product_vector(i, j) for i, j in enumerate(self.dual()))
+            self._handle = [sum(column) for column in zip(*terms)]
         return self._handle
 
     def handle_power(self, genus):
@@ -201,7 +168,20 @@ class FusionAlgebra:
         if not genus:
             return Fraction(self.counit(v))
         h = self.handle_power(genus)
-        return Fraction(sum(vi * h[j] for vi, j in zip(v, self._dual) if vi))
+        return Fraction(sum(vi * h[j] for vi, j in zip(v, self.dual()) if vi))
+
+
+def box_preimages(k, n, strips):
+    """Partitions reducing to the k x (n-k) box after removing `strips` n-rim hooks.
+
+    The box's beta numbers n-1, ..., n-k have distinct residues mod n, so
+    adding n * m_i to the i-th, with sum m_i = strips, gives each preimage once.
+    """
+    out = []
+    for raised in combinations_with_replacement(range(k), strips):
+        beta = sorted((n - 1 - i + n * raised.count(i) for i in range(k)), reverse=True)
+        out.append(Partition([b - (k - 1 - i) for i, b in enumerate(beta)]))
+    return out
 
 
 def correlator_genus_g(classes, genus, k, n):

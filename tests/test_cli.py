@@ -465,6 +465,51 @@ def test_batch_rejects_unknown_job_keys(tmp_path):
                    "vicalc: batch line 3: unknown job key 'parallelism'\n")
 
 
+def test_batch_parameters_reach_only_query_options(tmp_path):
+    params = {"n": 4, "k": 2, "g": 0, "e": 0, "monomial": [1, 1, 1, 1]}
+    jobs = [
+        {"subcommand": "vi", "output_format": "json",
+         "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}},
+        # --help would print vi's help into stdout and exit 0
+        {"subcommand": "vi", "parameters": {"help": 1}},
+        {"subcommand": "vi", "parameters": {"he": 1}},
+        {"subcommand": "vi", "parameters": {"h": 1}},
+        # and --convention or --format would override the job's own keys
+        {"subcommand": "vi", "output_format": "json", "convention": "dual",
+         "parameters": dict(params, convention="paper")},
+        {"subcommand": "vi", "output_format": "json", "convention": "dual",
+         "parameters": dict(params, format="text")},
+        # abbreviations are not options
+        {"subcommand": "vi", "output_format": "json", "convention": "dual",
+         "parameters": {"n": 4, "k": 2, "g": 0, "e": 0, "mono": [1, 1, 1, 1]}},
+        {"subcommand": "vi", "output_format": "json",
+         "parameters": dict(params, conv="dual")},
+        {"subcommand": "vi", "output_format": "json", "convention": "dual", "parameters": params},
+    ]
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join(json.dumps(j) for j in jobs) + "\n")
+    code, out, err = run("batch", str(path))
+    assert code == 2
+    assert out == '{"value":"6","integral":true}\n{"value":"2","integral":true}\n'
+    assert "vicalc: batch line 2: parameter 'help' refused: a job prints no help\n" in err
+    assert "vicalc: batch line 5: parameter 'convention' refused" in err
+    assert "vicalc: batch line 6: parameter 'format' refused" in err
+    for lineno in (3, 4, 7, 8):
+        assert err.count("batch line %d: usage:" % lineno) == 1
+
+
+def test_options_are_not_abbreviated():
+    query = ("vi", "--n", "4", "--k", "2", "--g", "0", "--e", "0")
+    assert run(*query, "--monomial", "1,1,1,1", "--convention", "dual", "--format", "json") == \
+        (0, '{"value":"2","integral":true}\n', "")
+    code, out, err = run(*query, "--mono", "1,1,1,1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --mono 1,1,1,1" in err
+    assert run(*query, "--monomial", "1,1,1,1", "--conv", "dual")[:2] == (2, "")
+    assert run(*query, "--form", "json")[:2] == (2, "")
+    assert run("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2", "--he")[:2] == (2, "")
+
+
 def test_main_streams_and_code(capsys):
     code = main(["vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
                  "--format", "json"])

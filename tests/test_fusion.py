@@ -7,15 +7,18 @@ from math import comb
 
 import pytest
 
+from vicalc import fusion
 from vicalc.engine import InadmissibleQueryError, InvariantQuery, vi_invariant
 from vicalc.fusion import (
     FusionAlgebra,
+    box_preimages,
     classes_for_query,
     correlator_genus_g,
     correlator_via_spectrum,
     fusion_algebra,
     oracle_value,
 )
+from vicalc.symfunc import Partition, lr_coefficient, rim_hook_reduce
 
 
 def basis_vector(alg, i):
@@ -95,62 +98,104 @@ def test_product_associative_sampled():
             assert left == right, (k, n, a, b, c)
 
 
+def walk_box_preimages(k, n, strips):
+    """Reference: raise one beta number of the box by n per step, as a set of parts."""
+    frontier = {tuple(n - 1 - i for i in range(k))}
+    for _ in range(strips):
+        frontier = {tuple(sorted(beta[:pos] + beta[pos + 1:] + (beta[pos] + n,), reverse=True))
+                    for beta in frontier for pos in range(k) if beta[pos] + n not in beta}
+    return {Partition([b - (k - 1 - i) for i, b in enumerate(beta)]).parts for beta in frontier}
+
+
+def test_box_preimages_match_walk():
+    # n <= 12 with every strip count that dual() reads, k(n-k) // n at most,
+    # and every strips <= k for n <= 9 (all of n <= 12 takes about a minute)
+    cases = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            for strips in range(max(k * (n - k) // n, k if n <= 9 else 0) + 1):
+                got = [p.parts for p in box_preimages(k, n, strips)]
+                assert len(got) == len(set(got)), (k, n, strips)
+                assert set(got) == walk_box_preimages(k, n, strips), (k, n, strips)
+                assert all(rim_hook_reduce(p, k, n)[:2] == ((n - k,) * k, strips)
+                           for p in got), (k, n, strips)
+                cases += 1
+    assert cases == 229
+
+
 def test_pairing_matches_products():
-    # pairing() goes through box preimages and rim hooks; the product route
-    # goes through Littlewood-Richardson expansion.  Same matrix either way.
-    for k, n in ((2, 4), (2, 5), (3, 5)):
+    # dual() goes through box preimages and rim hooks; the product route
+    # goes through Littlewood-Richardson expansion.  Same pairing either way.
+    for k, n in ((1, 4), (2, 4), (2, 5), (3, 5), (3, 6)):
         alg = fusion_algebra(k, n)
-        mat = alg.pairing()
+        dual = alg.dual()
         for i in range(alg.dim):
             for j in range(alg.dim):
-                assert mat[i][j] == alg.counit(alg.product_vector(i, j))
+                assert alg.counit(alg.product_vector(i, j)) == (j == dual[i]), (k, n, i, j)
 
 
 def test_pairing_complement_block():
     for k, n in ((1, 4), (2, 4), (2, 5), (3, 6)):
         alg = fusion_algebra(k, n)
-        mat = alg.pairing()
-        top = alg.k * alg.cols
-        for i, lam in enumerate(alg.basis):
-            comp = alg.index[lam.box_complement(alg.k, alg.cols).parts]
-            assert mat[i][comp] == 1
-            for j, mu in enumerate(alg.basis):
-                if lam.size() + mu.size() == top and j != comp:
-                    assert mat[i][j] == 0
+        assert alg.dual() == [alg.index[lam.box_complement(alg.k, alg.cols).parts]
+                              for lam in alg.basis], (k, n)
 
 
 def test_pairing_inverse_is_inverse():
+    # the pairing matrix from the products, inverted by transposing it: it is a
+    # permutation, its transpose is its inverse, and the handle element summed
+    # over that inverse is the one handle_element builds from dual()
     for k, n in ((2, 4), (2, 5), (3, 6)):
         alg = fusion_algebra(k, n)
-        mat, inv = alg.pairing(), alg.pairing_inverse()
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                s = sum(mat[i][t] * inv[t][j] for t in range(alg.dim))
-                assert s == (1 if i == j else 0)
+        dim = alg.dim
+        mat = [[alg.counit(alg.product_vector(i, j)) for j in range(dim)] for i in range(dim)]
+        inv = [list(col) for col in zip(*mat)]
+        for i in range(dim):
+            for j in range(dim):
+                assert sum(mat[i][t] * inv[t][j] for t in range(dim)) == (i == j)
+        assert sorted(alg.dual()) == list(range(dim))
+        assert all(alg.dual()[j] == i for i, j in enumerate(alg.dual()))
+        handle = [0] * dim
+        for i in range(dim):
+            for j in range(dim):
+                if inv[i][j]:
+                    for t, p in enumerate(alg.product_vector(i, j)):
+                        handle[t] += inv[i][j] * p
+        assert alg.handle_element() == handle, (k, n)
 
 
-def test_pairing_inverse_refuses_non_permutation():
-    # a fresh algebra, so the cached one that other tests read stays sound
-    good = fusion_algebra(2, 4).pairing()
-    doubled = [[2 * x for x in row] for row in good]
-    extra = [list(row) for row in good]
-    extra[0][0] += 1
-    negated = [list(row) for row in good]
-    negated[0] = [-x for x in negated[0]]
-    zero_row = [list(row) for row in good]
-    zero_row[0] = [0] * len(good)
-    for bad in (doubled, extra, negated, zero_row):
+def test_pairing_inverse_refuses_non_permutation(monkeypatch):
+    # each bad pairing is injected through the LR numbers or rim hooks that
+    # dual() reads; the products come from quantum_product and stay sound
+    empty = Partition(())
+    lr, rim = lr_coefficient, rim_hook_reduce
+    bad = {
+        "doubled": ("lr_coefficient", lambda lam, mu, nu: 2 * lr(lam, mu, nu)),
+        # sigma_2 * sigma_11 has no box term on Gr(2, 4): a second entry in both rows
+        "extra": ("lr_coefficient", lambda lam, mu, nu: 1 if {lam.parts, mu.parts} ==
+                  {(2,), (1, 1)} else lr(lam, mu, nu)),
+        "negated": ("lr_coefficient", lambda lam, mu, nu: -lr(lam, mu, nu)
+                    if empty in (lam, mu) else lr(lam, mu, nu)),
+        "zero_row": ("lr_coefficient", lambda lam, mu, nu: 0
+                     if empty in (lam, mu) else lr(lam, mu, nu)),
+        # a preimage that the rim hooks kill, or send elsewhere than the box
+        "killed": ("rim_hook_reduce", lambda nu, k, n: None),
+        "elsewhere": ("rim_hook_reduce", lambda nu, k, n: (empty,) + rim(nu, k, n)[1:]),
+    }
+    for name, (attr, fake) in bad.items():
+        monkeypatch.setattr(fusion, attr, fake)
         alg = FusionAlgebra(2, 4)
-        alg._pairing = bad
         with pytest.raises(ArithmeticError, match="permutation"):
-            alg.pairing_inverse()
-        assert alg._pairing_inv is None
-        # the genus >= 1 correlator reads the dual only after the check passes
+            alg.dual()
+        assert alg._dual is None, name
+        # the handle element and every genus >= 1 correlator read the dual
+        # only after the check passes
         alg = FusionAlgebra(2, 4)
-        alg._pairing = bad
         with pytest.raises(ArithmeticError, match="permutation"):
             alg.correlator([], 1)
-        assert alg._dual is None and alg._handle_powers == []
+        assert alg._dual is None and alg._handle is None and alg._handle_powers == [], name
+        monkeypatch.undo()
+    assert FusionAlgebra(2, 4).dual() == fusion_algebra(2, 4).dual()
 
 
 def test_correlator_matches_genus_loop():
