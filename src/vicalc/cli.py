@@ -219,10 +219,10 @@ def _run_qh_table(ns):
             "n": ns.n,
             "products": [
                 {
-                    "left": list(lam.parts),
-                    "right": list(mu.parts),
+                    "left": lam,
+                    "right": mu,
                     "terms": [
-                        {"partition": list(parts), "q": qexp, "coeff": coeff}
+                        {"partition": parts, "q": qexp, "coeff": coeff}
                         for (parts, qexp), coeff in qsum.items()
                     ],
                 }
@@ -233,15 +233,15 @@ def _run_qh_table(ns):
     if ns.format == "csv":
         rows = []
         for lam, mu, qsum in products:
-            left = " ".join(str(p) for p in lam.parts)
-            right = " ".join(str(p) for p in mu.parts)
+            left = " ".join(str(p) for p in lam)
+            right = " ".join(str(p) for p in mu)
             for (parts, qexp), coeff in qsum.items():
                 rows.append(
                     (left, right, " ".join(str(p) for p in parts), qexp, coeff)
                 )
         return _csv_block(("left", "right", "partition", "q", "coeff"), rows)
     lines = [
-        "%s * %s = %s" % (_class_label(lam.parts), _class_label(mu.parts), _sum_text(qsum))
+        "%s * %s = %s" % (_class_label(lam), _class_label(mu), _sum_text(qsum))
         for lam, mu, qsum in products
     ]
     return "\n".join(lines) + "\n"

@@ -44,6 +44,7 @@ wrong value.  A corrupted residue slips through with probability below
 2^-64.
 """
 
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
@@ -73,7 +74,7 @@ class InvariantQuery:
     columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "monomial", tuple(int(a) for a in self.monomial))
+        object.__setattr__(self, "monomial", tuple(operator.index(a) for a in self.monomial))
         if self.n < 2 or not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n with n >= 2, got k=%d n=%d" % (self.k, self.n))
         if self.g < 0:

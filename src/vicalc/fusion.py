@@ -48,7 +48,7 @@ class FusionAlgebra:
         self.cols = n - k
         self.basis = partitions_in_box(k, self.cols)
         self.dim = len(self.basis)
-        self.index = {p.parts: i for i, p in enumerate(self.basis)}
+        self.index = {p: i for i, p in enumerate(self.basis)}
         self.box_index = self.index[(self.cols,) * k]
         self._products = {}
         self._dual = None
@@ -57,11 +57,9 @@ class FusionAlgebra:
 
     def class_index(self, parts):
         p = Partition(parts)
-        if p.parts not in self.index:
-            raise ValueError(
-                "class outside box: %s in %dx%d" % (p.parts, self.k, self.cols)
-            )
-        return self.index[p.parts]
+        if p not in self.index:
+            raise ValueError("class outside box: %s in %dx%d" % (p, self.k, self.cols))
+        return self.index[p]
 
     def product_vector(self, i, j):
         """sigma_i * sigma_j at q = 1, as a coefficient vector over the basis."""
@@ -118,7 +116,7 @@ class FusionAlgebra:
             dual = [None] * self.dim
             for i, lam in enumerate(self.basis):
                 for j, mu in enumerate(self.basis[i:], i):
-                    strips, rem = divmod(lam.size() + mu.size() - top, n)
+                    strips, rem = divmod(sum(lam) + sum(mu) - top, n)
                     if strips < 0 or rem:
                         continue
                     total = 0
@@ -209,26 +207,16 @@ def _spectrum_points(k, n):
     return order, pts
 
 
-def _schur_value(lam, values, k, order):
-    """s_lam at the given roots via the dual Jacobi-Trudi determinant."""
-    lam = Partition(lam)
+def _schur_value(lam, ents, order):
+    """s_lam at one point via the dual Jacobi-Trudi determinant, from the
+    point's e_0..e_k in `ents`."""
     conj = lam.conjugate()
-    size = len(conj)
-    if size == 0:
+    if not conj:
         return CyclotomicNumber(order, [1])
-    ents = {}
-
-    def e_at(t):
-        if t < 0 or t > k:
-            return CyclotomicNumber(order, [])
-        if t not in ents:
-            v = elementary_symmetric(t, values)
-            if isinstance(v, Fraction):
-                v = CyclotomicNumber(order, [v])
-            ents[t] = v
-        return ents[t]
-
-    mat = [[e_at(conj[i] - i + j) for j in range(size)] for i in range(size)]
+    zero = CyclotomicNumber(order, [])
+    mat = [[ents[t] if 0 <= t < len(ents) else zero
+            for t in range(c - i, c - i + len(conj))]
+           for i, c in enumerate(conj)]
     return _det(mat, order)
 
 
@@ -257,10 +245,12 @@ def correlator_via_spectrum(classes, genus, k, n):
     """
     alg = fusion_algebra(k, n)
     order, pts = _spectrum_points(k, n)
-    dual = [alg.index[p.box_complement(k, alg.cols).parts] for p in alg.basis]
+    dual = [alg.class_index([alg.cols - p.row(k - 1 - i) for i in range(k)])
+            for p in alg.basis]
     total = CyclotomicNumber(order, [])
     for vals in pts:
-        chars = [_schur_value(p, vals, k, order) for p in alg.basis]
+        ents = [elementary_symmetric(t, vals) for t in range(k + 1)]
+        chars = [_schur_value(p, ents, order) for p in alg.basis]
         handle = CyclotomicNumber(order, [])
         for i, j in enumerate(dual):
             handle = handle + chars[i] * chars[j]

@@ -2,12 +2,22 @@
 
 All weights are exact rationals; nothing here may introduce a float,
 because the weight sums feed degree shifts for the root-of-unity engine.
+A float weight is a TypeError, as a float cyclotomic coefficient is, and
+every integer is read with operator.index.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import InadmissibleQueryError, InvariantQuery, vi_invariant
+
+
+def _weight(w):
+    """An int, Fraction or string like "1/2" as an exact Fraction; no float."""
+    if isinstance(w, float):
+        raise TypeError("weights must be exact rationals, not float: %r" % (w,))
+    return Fraction(w)
 
 
 @dataclass(frozen=True)
@@ -18,8 +28,8 @@ class MarkedPoint:
     multiplicities: tuple
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
-        ks = tuple(int(k) for k in self.multiplicities)
+        ws = tuple(_weight(w) for w in self.weights)
+        ks = tuple(operator.index(k) for k in self.multiplicities)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "multiplicities", ks)
         if len(ws) != len(ks):
@@ -52,6 +62,8 @@ class ParabolicData:
             p if isinstance(p, MarkedPoint) else MarkedPoint(*p) for p in self.points
         )
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "rank", operator.index(self.rank))
+        object.__setattr__(self, "degree", operator.index(self.degree))
         if self.rank < 1:
             raise ValueError("rank must be positive")
         for p in pts:
@@ -77,6 +89,7 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
     N = 0 are refused rather than ignored; each weight must lie in [0, 1),
     as at a MarkedPoint.
     """
+    n, k, g, eps, group_order = map(operator.index, (n, k, g, eps, group_order))
     if not 0 < k < n:
         raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
     if g < 0:
@@ -85,7 +98,7 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
         raise ValueError("eps %d outside [1, %d]" % (eps, n - 1))
     if group_order < 0:
         raise ValueError("group order must be nonnegative")
-    weights = [Fraction(w) for w in weights]
+    weights = [_weight(w) for w in weights]
     if weights and not group_order:
         raise ValueError("weights require a positive group order")
     for w in weights:

@@ -1,5 +1,9 @@
 """Partitions, Littlewood-Richardson coefficients, and rim-hook reduction.
 
+A Partition is a validated tuple: it compares, hashes and indexes as the
+plain tuple of its parts, so it serves directly as a dict key and a
+product key.
+
 LR coefficients come from direct enumeration of skew LR tableaux
 (deliberately: this routine is the independently auditable cross-check
 for everything downstream, so no determinant or crystal shortcuts).
@@ -18,18 +22,23 @@ polynomials", J. Algebra 1999); tests hold it to every removal sequence
 of the one-strip walk.
 """
 
+import operator
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
 
 
-class Partition:
-    """Weakly decreasing tuple of positive parts; trailing zeros dropped."""
+class Partition(tuple):
+    """A tuple of weakly decreasing positive parts; trailing zeros dropped.
 
-    __slots__ = ("parts",)
+    Each part is read with operator.index, so a float or a string is a
+    TypeError rather than a truncated part.
+    """
 
-    def __init__(self, parts=()):
-        ps = [int(p) for p in parts]
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
+        ps = [operator.index(p) for p in parts]
         while ps and ps[-1] == 0:
             ps.pop()
         for a, b in zip(ps, ps[1:]):
@@ -37,57 +46,18 @@ class Partition:
                 raise ValueError("parts must be weakly decreasing: %s" % (tuple(parts),))
         if ps and ps[-1] < 0:
             raise ValueError("parts must be nonnegative: %s" % (tuple(parts),))
-        object.__setattr__(self, "parts", tuple(ps))
+        return super().__new__(cls, ps)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition(%s)" % (self.parts,)
-
-    def size(self):
-        return sum(self.parts)
+    @property
+    def parts(self):
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     def row(self, i):
-        return self.parts[i] if i < len(self.parts) else 0
-
-    def contains(self, other):
-        return all(self.row(i) >= other.row(i) for i in range(len(other)))
+        return self[i] if i < len(self) else 0
 
     def conjugate(self):
-        if not self.parts:
-            return Partition()
-        return Partition(
-            [sum(1 for p in self.parts if p > c) for c in range(self.parts[0])]
-        )
-
-    def fits_in_box(self, rows, cols):
-        return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
-
-    def box_complement(self, rows, cols):
-        """Complement inside the rows x cols box, reversed to a partition."""
-        if not self.fits_in_box(rows, cols):
-            raise ValueError("class outside box: %s in %dx%d" % (self.parts, rows, cols))
-        return Partition([cols - self.row(rows - 1 - i) for i in range(rows)])
+        return Partition([sum(1 for p in self if p > c) for c in range(self.row(0))])
 
 
 def partitions_in_box(rows, cols):
@@ -101,7 +71,7 @@ def partitions_in_box(rows, cols):
                 rec(prefix + [p], p)
 
     rec([], cols)
-    out.sort(key=lambda p: (p.size(), p.parts))
+    out.sort(key=lambda p: (sum(p), p))
     return out
 
 
@@ -182,7 +152,7 @@ def _lr_expand(lam, mu, outer):
     if len(lam) > rows or any(lam.row(r) > outer[r] for r in range(rows)):
         return {}
     frontier = {(tuple(lam.row(r) for r in range(rows)), (0,) * rows): 1}
-    rest = mu.size()
+    rest = sum(mu)
     for letter, size in enumerate(mu):
         rest -= size
         nxt = {}
@@ -204,9 +174,9 @@ def lr_coefficient(lam, mu, nu):
     quantum_product, bounded by nu.
     """
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if lam.size() + mu.size() != nu.size():
+    if sum(lam) + sum(mu) != sum(nu):
         return 0
-    return _lr_expand(lam, mu, nu.parts).get(nu.parts, 0)
+    return _lr_expand(lam, mu, nu).get(nu, 0)
 
 
 def rim_hook_reduce(lam, k, n):
@@ -221,7 +191,7 @@ def rim_hook_reduce(lam, k, n):
     """
     lam = Partition(lam)
     if len(lam) > k:
-        raise ValueError("class outside algebra: %s has more than %d rows" % (lam.parts, k))
+        raise ValueError("class outside algebra: %s has more than %d rows" % (lam, k))
     beta = [lam.row(i) + k - 1 - i for i in range(k)]
     res = [b % n for b in beta]
     if len(set(res)) < k:
@@ -236,7 +206,7 @@ def rim_hook_reduce(lam, k, n):
 def quantum_product(lam, mu, k, n):
     """Product of two box classes in the rim-hook quotient, q kept formal.
 
-    Returns {(box class parts, q exponent): coefficient}, nonzero
+    Returns {(box class Partition, q exponent): coefficient}, nonzero
     coefficients only, keys in sorted order.  One LR enumeration gives
     every nu with at most k rows; since c^nu_{lam, mu} = c^nu_{mu, lam},
     the smaller class is laid in as letters.
@@ -245,9 +215,9 @@ def quantum_product(lam, mu, k, n):
         raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
     lam, mu = Partition(lam), Partition(mu)
     for p in (lam, mu):
-        if not p.fits_in_box(k, n - k):
-            raise ValueError("class outside box: %s in %dx%d" % (p.parts, k, n - k))
-    if mu.size() > lam.size():
+        if len(p) > k or p.row(0) > n - k:
+            raise ValueError("class outside box: %s in %dx%d" % (p, k, n - k))
+    if sum(mu) > sum(lam):
         lam, mu = mu, lam
     width = lam.row(0) + mu.row(0)
     acc = {}
@@ -256,6 +226,6 @@ def quantum_product(lam, mu, k, n):
         if red is None:
             continue
         box_class, qexp, sign = red
-        key = (box_class.parts, qexp)
+        key = (box_class, qexp)
         acc[key] = acc.get(key, 0) + sign * c
     return {key: acc[key] for key in sorted(acc) if acc[key]}

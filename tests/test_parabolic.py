@@ -32,6 +32,28 @@ def test_marked_point_validation():
         MarkedPoint((0, Fraction(1, 2)), (1,))
 
 
+def test_floats_are_refused():
+    # a float weight is a TypeError, never its binary expansion; integers are
+    # read with operator.index, never truncated
+    with pytest.raises(TypeError, match="float"):
+        MarkedPoint((0.1, Fraction(1, 2)), (1, 1))
+    with pytest.raises(TypeError):
+        MarkedPoint((0, Fraction(1, 2)), (1.5, 1))
+    with pytest.raises(TypeError, match="float"):
+        s_invariant(4, 2, 0, 1, 2, [0.1])
+    with pytest.raises(TypeError, match="float"):
+        s_invariant(4, 2, 0, 1, 2, [0.5])
+    for args in ((4, 2, 0, 1.5), (4, 2, 0, 1, 2.0, ["1/2"]), (4.0, 2, 0, 1)):
+        with pytest.raises(TypeError):
+            s_invariant(*args)
+    with pytest.raises(TypeError):
+        ParabolicData(2, 0.5, ((("1/4", "3/4"), (1, 1)),))
+    # ints, Fractions and strings still parse exactly
+    p = MarkedPoint((0, "1/10", Fraction(1, 2)), (1, 1, 1))
+    assert p.weights == (0, Fraction(1, 10), Fraction(1, 2))
+    assert s_invariant(4, 2, 0, 1, 2, ["1/10", Fraction(1, 2), 0]) == Fraction(-9, 5)
+
+
 def test_flag_sum_must_match_rank():
     with pytest.raises(ValueError, match="invariant violation"):
         ParabolicData(2, 0, ((("0", "1/2"), (1, 2)),))

@@ -58,6 +58,16 @@ def test_query_validation():
         InvariantQuery(n=4, k=2, g=0, e=0, convention="mixed")
 
 
+def test_monomial_entries_must_be_integers():
+    # read with operator.index, as Partition reads its parts: 1.9 is not
+    # truncated to 1, and "1" is not parsed
+    q = InvariantQuery(4, 2, 0, 0, monomial=(1, 1, 1, 1), convention="dual")
+    assert evaluate(q).value == 2
+    for bad in (1.9, "1", 1.0):
+        with pytest.raises(TypeError):
+            InvariantQuery(4, 2, 0, 0, monomial=(1, 1, 1, bad), convention="dual")
+
+
 def admissible(query):
     return sum(query.columns) == required_weight(query)
 
