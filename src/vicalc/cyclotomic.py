@@ -293,8 +293,3 @@ class CyclotomicNumber:
 def zeta(n, power=1):
     """The root of unity zeta_n^power as a CyclotomicNumber."""
     return _make(n, _table(n)[2][power % n], 1)
-
-
-def root_power_sum(n, t):
-    """Sum of rho^t over all n-th roots of unity: n when n | t, else 0."""
-    return Fraction(n if t % n == 0 else 0)

@@ -74,6 +74,8 @@ class InvariantQuery:
     columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("n", "k", "g", "e", "d"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "monomial", tuple(operator.index(a) for a in self.monomial))
         if self.n < 2 or not 0 < self.k < self.n:
             raise ValueError("need 0 < k < n with n >= 2, got k=%d n=%d" % (self.k, self.n))
@@ -93,7 +95,10 @@ class InvariantQuery:
 class InvariantResult:
     value: Fraction
     terms_summed: int
-    integral: bool
+
+    @property
+    def integral(self):
+        return self.value.denominator == 1
 
 
 def required_weight(query):
@@ -156,7 +161,7 @@ def vi_invariant(query):
     value = Fraction(sign_factor(query.e, k) * lifted)
     if genus == 0:
         value /= Fraction(n) ** k
-    return InvariantResult(value=value, terms_summed=comb(n, k), integral=value.denominator == 1)
+    return InvariantResult(value=value, terms_summed=comb(n, k))
 
 
 def evaluate(query):
@@ -195,7 +200,7 @@ def vi_reference(query):
         total = total + reference_term(n, k, genus, query.columns, subset)
     alpha = k * (genus - 1)
     value = Fraction(sign_factor(query.e, k)) * Fraction(query.n) ** alpha * total.to_rational()
-    return InvariantResult(value=value, terms_summed=comb(n, k), integral=value.denominator == 1)
+    return InvariantResult(value=value, terms_summed=comb(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +222,10 @@ def count_maximal(n, d, k, genus):
     root of unity, so the sum is 0, which is returned with C(n, k) terms.
     The labelling a <-> k-a+1 does not change the count.
     """
+    n, d, k, genus = map(operator.index, (n, d, k, genus))
     query = InvariantQuery(n, k, genus, 0)  # validates n before the division by n
     b = -d % n
     e, rest = divmod(k * (n - k) * (1 - genus) - k * b, n)
     if rest:
-        return InvariantResult(value=Fraction(0), terms_summed=comb(n, k), integral=True)
+        return InvariantResult(value=Fraction(0), terms_summed=comb(n, k))
     return vi_invariant(replace(query, e=e, monomial=(k,) * b, convention="dual"))

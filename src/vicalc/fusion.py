@@ -76,25 +76,15 @@ class FusionAlgebra:
 
     def multiply(self, v, w):
         out = [0] * self.dim
+        w_terms = [(j, wj) for j, wj in enumerate(w) if wj]
         for i, vi in enumerate(v):
             if vi:
-                for j, wj in enumerate(w):
-                    if wj:
-                        pv = self.product_vector(i, j)
-                        c = vi * wj
-                        for t, p in enumerate(pv):
-                            if p:
-                                out[t] += c * p
-        return out
-
-    def multiply_class(self, v, j):
-        out = [0] * self.dim
-        for i, vi in enumerate(v):
-            if vi:
-                pv = self.product_vector(i, j)
-                for t, p in enumerate(pv):
-                    if p:
-                        out[t] += vi * p
+                for j, wj in w_terms:
+                    pv = self.product_vector(i, j)
+                    c = vi * wj
+                    for t, p in enumerate(pv):
+                        if p:
+                            out[t] += c * p
         return out
 
     def counit(self, v):
@@ -162,7 +152,9 @@ class FusionAlgebra:
         v = [0] * self.dim
         v[self.index[()]] = 1
         for parts in classes:
-            v = self.multiply_class(v, self.class_index(parts))
+            w = [0] * self.dim
+            w[self.class_index(parts)] = 1
+            v = self.multiply(v, w)
         if not genus:
             return Fraction(self.counit(v))
         h = self.handle_power(genus)

@@ -1,7 +1,7 @@
-"""Parabolic-bundle bookkeeping: degrees, s-invariants, and the composed invariant.
+"""Parabolic-bundle bookkeeping: degrees and s-invariants.
 
 All weights are exact rationals; nothing here may introduce a float,
-because the weight sums feed degree shifts for the root-of-unity engine.
+because the weight sums are degree shifts and must stay exact.
 A float weight is a TypeError, as a float cyclotomic coefficient is, and
 every integer is read with operator.index.
 """
@@ -9,8 +9,6 @@ every integer is read with operator.index.
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .engine import InadmissibleQueryError, InvariantQuery, vi_invariant
 
 
 def _weight(w):
@@ -119,23 +117,3 @@ def weights_from_equivariant(group_order, exponents):
         out.append(Fraction(ex, group_order))
     out.sort()
     return out
-
-
-def parabolic_vi(n, k, g, eps, group_order, weights, monomial=(), convention="paper"):
-    """Parabolic invariant as the documented s-invariant composition.
-
-    The budget s = s_invariant(n, k, g, eps, N, mu) replaces -n*e, so the
-    degree-condition target becomes s + k(n-k)(1-g) = eps + N*sum(mu).
-    Both s/n and the shifted target must be integers for a query to exist;
-    otherwise the range contains no admissible invariant and this raises.
-    """
-    budget = s_invariant(n, k, g, eps, group_order, weights)
-    quotient = -budget / n
-    if quotient.denominator != 1:
-        raise InadmissibleQueryError(
-            "parabolic budget %s is not n times an integral quotient degree" % (budget,)
-        )
-    query = InvariantQuery(
-        n=n, k=k, g=g, e=int(quotient), monomial=tuple(monomial), convention=convention
-    )
-    return vi_invariant(query)

@@ -270,6 +270,15 @@ def test_corollary_report_can_agree():
     assert "values agree" in out
 
 
+def test_corollary_report_refuses_what_count_maximal_refuses():
+    # the report's guards are count_maximal's: its ValueError is a usage error
+    code, out, err = run("corollary-report", "--n", "1", "--g", "1")
+    assert (code, out) == (2, "")
+    assert "need 0 < k < n with n >= 2" in err
+    code, out, err = run("corollary-report", "--n", "3", "--g", "-1")
+    assert (code, out, err) == (2, "", "vicalc: error: genus must be nonnegative\n")
+
+
 def test_usage_errors_exit_2():
     assert run("frobnicate")[0] == 2
     # options a subcommand does not take are unrecognized arguments

@@ -1,15 +1,13 @@
-"""Parabolic weights, degrees, s-invariants, and the composed invariant."""
+"""Parabolic weights, degrees and s-invariants."""
 
 from fractions import Fraction
 
 import pytest
 
-from vicalc.engine import InadmissibleQueryError
 from vicalc.parabolic import (
     MarkedPoint,
     ParabolicData,
     parabolic_degree,
-    parabolic_vi,
     s_invariant,
     weights_from_equivariant,
 )
@@ -112,13 +110,3 @@ def test_weights_from_equivariant():
     with pytest.raises(ValueError, match="outside"):
         weights_from_equivariant(3, [-1])
 
-
-def test_parabolic_vi_composition():
-    r = parabolic_vi(2, 1, 1, 1, 2, [Fraction(1, 2)], monomial=(1, 1))
-    assert r.value == 2
-    assert r.integral
-
-
-def test_parabolic_vi_budget_guard():
-    with pytest.raises(InadmissibleQueryError, match="budget"):
-        parabolic_vi(3, 1, 1, 1, 0, [])
