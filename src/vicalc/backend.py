@@ -1,9 +1,11 @@
 """The subset-sum kernel, evaluated as scalars modulo one prime.
 
 Pick a prime p = 1 (mod n) above the query's L1 bound plus SPARE_BITS
-and a w with Phi_n(w) = 0 (mod p).  Then x -> w is a ring map from
-Z[x]/Phi_n to Z/p, every root of unity becomes a power of w, and each
-per-subset term of the sum is one residue:
+and a w = a^((p-1)/n) that passes the order test: w^n = 1 (mod p) and
+gcd(w^(n/q) - 1, p) = 1 for every prime q | n.  Then Phi_n(w) = 0
+(mod p) (see below), so x -> w is a ring map from Z[x]/Phi_n to Z/p,
+every root of unity becomes a power of w, and each per-subset term of
+the sum is one residue:
 
     genus 0:   Delta_S * D_S        D = rho_S * (-1)^(k(k-1)/2) * V_S
     genus 1:   Delta_S
@@ -46,20 +48,26 @@ the kernel.
 The full sum is a rational integer of absolute value below
 2^term_bound_bits, so its symmetric residue mod p is the integer
 itself; the caller lifts it, checks it against the bound, and applies
-the sign and the genus-0 division by n^k.  The map stays a ring map
-whether or not p is prime, so every residue but the one inverse is
-right even for a composite p that passed the primality test.  den is a
-product of differences of distinct n-th roots of unity, which is a unit
-mod a prime p = 1 (mod n).  If den is a unit, so is every V_S in it,
-and dividing by V_S gives the image of R_S exactly; if it is not,
-pow(den, -1, p) raises and the kernel raises ArithmeticError (exit 4 on
-the command line) instead of returning a wrong value.
+the sign and the genus-0 division by n^k.
+
+The order test is enough whether or not p is prime.  Let r be a prime
+factor of p; r does not divide n, since p = 1 (mod n).  The test makes
+w of order exactly n mod r, and mod r the roots of Phi_m are the
+elements of order m.  For a prime p that is the statement Phi_n(w) = 0,
+so the test picks the w that evaluating Phi_n would, and every residue
+is unchanged.  For a composite p that passed the Fermat test, x^n - 1
+is the product of the Phi_m(x) over m | n, and for m < n, Phi_m(w) is
+nonzero mod every such r, so a unit mod p; hence Phi_n(w) = 0 (mod p)
+and the map is still a ring map.  Likewise w^a - w^b = w^b(w^(a-b) - 1)
+with a != b (mod n) is nonzero mod every r, so a unit mod p.  den is a
+product of such differences, so it is a unit, and dividing by each V_S
+in it gives the image of R_S exactly.  pow(den, -1, p) still guards
+the inverse: if den is not a unit the kernel raises ArithmeticError
+(exit 4 on the command line) instead of returning a wrong value.
 This is the multi-modular method (von zur Gathen & Gerhard, Modern
 Computer Algebra, ch. 5) with a single prime.
 """
 from math import comb, gcd, prod
-
-from .cyclotomic import cyclotomic_polynomial
 
 SPARE_BITS = 64
 _PRIMORIAL = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
@@ -85,15 +93,26 @@ def term_bound_bits(n, k, genus, columns, count):
     return (bound * max(count, 1)).bit_length()
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
 def _root_of_phi(n, p):
-    """A w with Phi_n(w) = 0 (mod p), or None after a few tries."""
-    phi = cyclotomic_polynomial(n)
+    """A w of order n modulo every prime factor of p, or None after a few
+    tries: w^n = 1 and gcd(w^(n/q) - 1, p) = 1 for each prime q | n.
+    That makes Phi_n(w) = 0 (mod p); see the module docstring."""
+    cofactors = [n // q for q in _prime_factors(n)]
     for a in range(2, 40):
         w = pow(a, (p - 1) // n, p)
-        acc = 0
-        for c in reversed(phi):
-            acc = (acc * w + c) % p
-        if acc == 0:
+        if pow(w, n, p) == 1 and all(gcd(pow(w, c, p) - 1, p) == 1 for c in cofactors):
             return w
     return None
 
@@ -102,7 +121,8 @@ def field(n, k, genus, columns):
     """(bits, p, w) for one query, shared by every rank range of its sum.
 
     bits is term_bound_bits over all C(n, k) subsets, p = 1 (mod n) lies
-    above 2^(bits + SPARE_BITS), and Phi_n(w) = 0 (mod p).
+    above 2^(bits + SPARE_BITS), and w passes _root_of_phi's order test,
+    so Phi_n(w) = 0 (mod p).
     """
     bits = term_bound_bits(n, k, genus, columns, comb(n, k))
     got = _FIELDS.get((n, bits))

@@ -23,6 +23,11 @@ JSON job per line, run in input order; a job's keys are subcommand,
 output_format, convention and parameters.  Every query runs in this one
 process; vi --workers is still parsed and validated so that existing
 command lines keep working, but it has no effect.
+
+Modules load on demand: importing this module loads only the engine and
+the kernel, which is all vi, count-max and corollary-report run.
+qh-table loads symfunc, and parabolic-degree and s-invariant load
+parabolic, inside their runners.
 """
 
 import argparse
@@ -40,14 +45,6 @@ from .engine import (
     count_maximal,
     evaluate,
 )
-from .parabolic import (
-    MarkedPoint,
-    ParabolicData,
-    parabolic_degree,
-    s_invariant,
-    weights_from_equivariant,
-)
-from .symfunc import Partition, partitions_in_box, quantum_product
 
 
 class UsageError(Exception):
@@ -195,6 +192,8 @@ def _run_count_max(ns):
 
 
 def _run_qh_table(ns):
+    from .symfunc import Partition, partitions_in_box, quantum_product
+
     if (ns.lhs is None) != (ns.rhs is None):
         raise UsageError("--lhs and --rhs must be given together")
     try:
@@ -261,6 +260,8 @@ def _parse_point(spec):
 
 
 def _run_parabolic_degree(ns):
+    from .parabolic import MarkedPoint, ParabolicData, parabolic_degree
+
     points = [_parse_point(spec) for spec in ns.point or []]
     try:
         data = ParabolicData(
@@ -281,6 +282,8 @@ def _run_parabolic_degree(ns):
 
 
 def _run_s_invariant(ns):
+    from .parabolic import s_invariant, weights_from_equivariant
+
     if ns.weights is not None and ns.exponents is not None:
         raise UsageError("give --weights or --exponents, not both")
     if ns.exponents is not None and not ns.group_order:

@@ -45,13 +45,10 @@ wrong value.  A corrupted residue slips through with probability below
 """
 
 import operator
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
 from . import backend
-from .cyclotomic import CyclotomicNumber, zeta
-from .symfunc import elementary_symmetric
 
 CONVENTIONS = ("paper", "dual")
 
@@ -61,40 +58,77 @@ class InadmissibleQueryError(ValueError):
     of the monomial misses the target."""
 
 
-@dataclass(frozen=True)
-class InvariantQuery:
-    n: int
-    k: int
-    g: int
-    e: int
-    d: int = 0
-    monomial: tuple = ()
-    convention: str = "paper"
-    # sorted j of each inserted sigma_(1^j): the one place convention is read
-    columns: tuple = field(init=False, repr=False, compare=False)
+class _Record:
+    """A frozen record: equality, hash and repr go over the names in
+    _fields, assignment raises AttributeError, and a copy or pickle is
+    rebuilt through __init__, so it is validated again."""
 
-    def __post_init__(self):
-        for name in ("n", "k", "g", "e", "d"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        object.__setattr__(self, "monomial", tuple(operator.index(a) for a in self.monomial))
-        if self.n < 2 or not 0 < self.k < self.n:
-            raise ValueError("need 0 < k < n with n >= 2, got k=%d n=%d" % (self.k, self.n))
-        if self.g < 0:
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class InvariantQuery(_Record):
+    """One query; columns, the sorted j of each inserted sigma_(1^j), is
+    derived from monomial and convention, and is the one place convention
+    is read."""
+
+    __slots__ = ("n", "k", "g", "e", "d", "monomial", "convention", "columns")
+    _fields = __slots__[:-1]
+
+    def __init__(self, n, k, g, e, d=0, monomial=(), convention="paper"):
+        n, k, g, e, d = map(operator.index, (n, k, g, e, d))
+        monomial = tuple(operator.index(a) for a in monomial)
+        if n < 2 or not 0 < k < n:
+            raise ValueError("need 0 < k < n with n >= 2, got k=%d n=%d" % (k, n))
+        if g < 0:
             raise ValueError("genus must be nonnegative")
-        for a in self.monomial:
-            if not 1 <= a <= self.k:
-                raise ValueError("monomial exponent %d outside [1, %d]" % (a, self.k))
-        if self.convention not in CONVENTIONS:
-            raise ValueError("unknown convention %r" % (self.convention,))
-        flip = self.convention == "paper"
-        object.__setattr__(self, "columns", tuple(sorted(
-            self.k - a + 1 if flip else a for a in self.monomial)))
+        for a in monomial:
+            if not 1 <= a <= k:
+                raise ValueError("monomial exponent %d outside [1, %d]" % (a, k))
+        if convention not in CONVENTIONS:
+            raise ValueError("unknown convention %r" % (convention,))
+        flip = convention == "paper"
+        columns = tuple(sorted(k - a + 1 if flip else a for a in monomial))
+        for name, value in zip(self.__slots__, (n, k, g, e, d, monomial, convention, columns)):
+            object.__setattr__(self, name, value)
+
+    def replace(self, **changes):
+        """A new query with some fields changed, validated like any other."""
+        fields = dict(zip(self._fields, self._values()))
+        fields.update(changes)
+        return InvariantQuery(**fields)
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    value: Fraction
-    terms_summed: int
+class InvariantResult(_Record):
+    __slots__ = _fields = ("value", "terms_summed")
+
+    def __init__(self, value, terms_summed):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "terms_summed", terms_summed)
 
     @property
     def integral(self):
@@ -141,8 +175,8 @@ def degree_reduce(query):
         return query
     a = -(-query.d // query.n)
     b = a * query.n - query.d
-    return replace(query, e=query.e - a * query.k, d=0,
-                   monomial=query.monomial + (query.k,) * b)
+    return query.replace(e=query.e - a * query.k, d=0,
+                         monomial=query.monomial + (query.k,) * b)
 
 
 def vi_invariant(query):
@@ -174,11 +208,16 @@ def evaluate(query):
 
 def reference_term(n, k, genus, columns, exponents):
     """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic."""
+    from .cyclotomic import CyclotomicNumber, zeta
+    from .symfunc import elementary_symmetric
+
     roots = [zeta(n, c) for c in exponents]
     e = {j: elementary_symmetric(j, roots) for j in set(columns)}
     delta = CyclotomicNumber(n, [1])
     for j in columns:
         delta = delta * e[j]
+    if genus == 1:
+        return delta  # D^0: the k^2 products of D would be wasted
     d = CyclotomicNumber(n, [1])
     for rho in roots:
         d = d * rho
@@ -193,6 +232,8 @@ def vi_reference(query):
     """Literal subset sum with cyclotomic division; same value as vi_invariant."""
     _require_admissible(query)
     from itertools import combinations
+
+    from .cyclotomic import CyclotomicNumber
 
     n, k, genus = query.n, query.k, query.g
     total = CyclotomicNumber(n, [])
@@ -228,4 +269,4 @@ def count_maximal(n, d, k, genus):
     e, rest = divmod(k * (n - k) * (1 - genus) - k * b, n)
     if rest:
         return InvariantResult(value=Fraction(0), terms_summed=comb(n, k))
-    return vi_invariant(replace(query, e=e, monomial=(k,) * b, convention="dual"))
+    return vi_invariant(query.replace(e=e, monomial=(k,) * b, convention="dual"))

@@ -9,7 +9,6 @@ arithmetic and a failure low in the file points at plumbing.
 
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
@@ -45,7 +44,7 @@ def admissible_suite(n, k, g, max_len):
 def paper_twin(query):
     """Same insertion classes spelled in the other index convention."""
     mono = tuple(sorted(query.k - a + 1 for a in query.monomial))
-    return replace(query, monomial=mono, convention="paper")
+    return query.replace(monomial=mono, convention="paper")
 
 
 def test_rank_one_closed_form_under_one_second():
@@ -117,7 +116,7 @@ def test_twisting_by_a_line_bundle_changes_nothing():
     for _ in range(100):
         q = rng.choice(pool)
         d_line = rng.randint(-3, 3)
-        twisted = replace(q, d=q.d + q.n * d_line, e=q.e + q.k * d_line)
+        twisted = q.replace(d=q.d + q.n * d_line, e=q.e + q.k * d_line)
         assert evaluate(twisted).value == vi_invariant(q).value, (q, d_line)
 
 
@@ -130,16 +129,14 @@ def test_degree_reduction_rewrites_d_into_the_monomial():
     ):
         n, k = q0.n, q0.k
         for d in range(1, 3 * n + 1):
-            q = replace(q0, d=d)
+            q = q0.replace(d=d)
             a = -(-d // n)
             b = a * n - d
-            expected = replace(
-                q, d=0, e=q.e - a * k, monomial=q.monomial + (k,) * b
-            )
+            expected = q.replace(d=0, e=q.e - a * k, monomial=q.monomial + (k,) * b)
             assert degree_reduce(q) == expected, (q0, d)
         # a twist is the b = 0 case and must evaluate to the same number
         for d_line in (1, 2, 3):
-            twisted = replace(q0, d=n * d_line, e=q0.e + k * d_line)
+            twisted = q0.replace(d=n * d_line, e=q0.e + k * d_line)
             reduced = degree_reduce(twisted)
             assert reduced.monomial == q0.monomial
             assert vi_invariant(reduced).value == vi_invariant(q0).value

@@ -372,6 +372,34 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["value"] == "2"
 
 
+def test_vi_and_count_max_import_only_the_engine():
+    # vi and count-max need cli, engine and backend; the oracle and parabolic
+    # modules, and dataclasses (with inspect), are left for the runs that use them
+    script = (
+        "import json, sys\n"
+        "from vicalc.cli import main\n"
+        "codes = [main(['vi', '--n', '4', '--k', '2', '--g', '1', '--e', '0',"
+        " '--format', 'json']),\n"
+        "         main(['count-max', '--n', '3', '--d', '1', '--k', '2', '--g', '2',"
+        " '--format', 'json'])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(vicalc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    vi_out, count_out, last = proc.stdout.splitlines()
+    assert (vi_out, count_out) == ('{"value":"6","integral":true}',
+                                   '{"value":"9","integral":true}')
+    codes, modules = json.loads(last)
+    assert codes == [0, 0]
+    unwanted = {"dataclasses", "vicalc.cyclotomic", "vicalc.symfunc", "vicalc.parabolic",
+                "vicalc.fusion"}
+    assert unwanted.isdisjoint(modules), sorted(unwanted & set(modules))
+
+
 def test_batch_runs_in_input_order(tmp_path):
     jobs = [
         {"subcommand": "vi", "output_format": "json",

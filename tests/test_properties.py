@@ -7,7 +7,6 @@ containing 0.
 """
 
 import json
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -35,7 +34,7 @@ def admissible(n, k, g, convention, max_len=5):
             q = InvariantQuery(n, k, g, 0, monomial=mono, convention=convention)
             e, rest = divmod(required_weight(q) - sum(q.columns), n)
             if not rest:
-                out.append(replace(q, e=e))
+                out.append(q.replace(e=e))
     return out
 
 

@@ -1,7 +1,7 @@
 """Root-of-unity engine: examples, reductions, kernels, and counts."""
 
+import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd
@@ -10,6 +10,7 @@ import pytest
 
 from vicalc import backend
 from vicalc.cli import _execute
+from vicalc.cyclotomic import cyclotomic_polynomial
 from vicalc.engine import (
     CONVENTIONS,
     InadmissibleQueryError,
@@ -86,6 +87,35 @@ def test_query_and_count_fields_must_be_integers():
             count_maximal(*args)
 
 
+def test_query_and_result_are_frozen_values():
+    q = InvariantQuery(5, 3, 0, 0, monomial=(1, 2, 3), convention="paper")
+    for name in ("n", "e", "monomial", "convention", "columns"):
+        with pytest.raises(AttributeError):
+            setattr(q, name, getattr(q, name))
+    twin = InvariantQuery(n=5, k=3, g=0, e=0, d=0, monomial=[1, 2, 3])
+    assert twin == q and hash(twin) == hash(q)
+    assert q.replace() == q and q.replace(e=1) != q
+    # equality reads the seven fields, not the derived columns
+    dual = q.replace(convention="dual")
+    assert dual.columns == q.columns and dual != q
+    assert repr(q) == ("InvariantQuery(n=5, k=3, g=0, e=0, d=0, "
+                       "monomial=(1, 2, 3), convention='paper')")
+    assert pickle.loads(pickle.dumps(q)) == q
+    # replace() validates like the constructor
+    with pytest.raises(ValueError):
+        q.replace(k=q.n)
+    with pytest.raises(TypeError):
+        q.replace(e=1.0)
+    with pytest.raises(TypeError):
+        q.replace(columns=(1,))
+    result = evaluate(InvariantQuery(4, 2, 1, 0))
+    with pytest.raises(AttributeError):
+        result.value = Fraction(7)
+    assert result == evaluate(InvariantQuery(4, 2, 1, 0))
+    assert hash(result) == hash((Fraction(6), 6))
+    assert repr(result) == "InvariantResult(value=Fraction(6, 1), terms_summed=6)"
+
+
 def admissible(query):
     return sum(query.columns) == required_weight(query)
 
@@ -116,9 +146,9 @@ def test_columns_resolve_the_spelling_once():
     assert qd.columns == (1, 2, 3)
     assert classes_for_query(qd) == [(1,), (1, 1), (1, 1, 1)]
     # replace() builds a new query, whose columns follow its own fields
-    assert replace(q, convention="dual").columns == (1, 2, 3, 3)
-    assert replace(q, k=4, monomial=(1, 4)).columns == (1, 4)
-    assert replace(qd, monomial=(2, 2)).columns == (2, 2)
+    assert q.replace(convention="dual").columns == (1, 2, 3, 3)
+    assert q.replace(k=4, monomial=(1, 4)).columns == (1, 4)
+    assert qd.replace(monomial=(2, 2)).columns == (2, 2)
     for n, k, g in ((4, 2, 0), (5, 3, 1), (6, 2, 2), (6, 3, 0)):
         for convention in CONVENTIONS:
             pool = admissible_queries(n, k, g, 4, convention)
@@ -211,7 +241,7 @@ def test_twist_reduce_examples():
     for q in (InvariantQuery(3, 1, 1, 2, monomial=()),
               InvariantQuery(5, 2, 0, 1, monomial=(1, 1), convention="dual")):
         for d_l in (1, 2, 4):
-            twisted = replace(q, d=q.n * d_l, e=q.e + q.k * d_l)
+            twisted = q.replace(d=q.n * d_l, e=q.e + q.k * d_l)
             assert degree_reduce(twisted) == q, (q, d_l)
 
 
@@ -236,7 +266,7 @@ def test_degree_reduce_pipeline_matches_direct():
             pool = admissible_queries(n, k, g, 4)
             for q in rng.sample(pool, min(2, len(pool))):
                 for d_l in (-2, -1, 1, 2, 3):
-                    twisted = replace(q, d=n * d_l, e=q.e + k * d_l)
+                    twisted = q.replace(d=n * d_l, e=q.e + k * d_l)
                     assert evaluate(twisted).value == vi_invariant(q).value, (q, d_l)
 
 
@@ -320,6 +350,23 @@ def test_half_rank_values_are_recorded():
     assert vi_invariant(InvariantQuery(12, 6, 2, -3, convention="dual")).value == 88649616
     assert (vi_invariant(InvariantQuery(12, 6, 3, -6, convention="dual")).value
             == 784986259865280)
+
+
+def test_field_root_is_a_root_of_the_cyclotomic_polynomial():
+    # field()'s w passes an order test, not an evaluation of Phi_n; hold it to
+    # Phi_n(w) = 0 (mod p) by Horner, and to order exactly n
+    for n in range(2, 65):
+        primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+        phi = cyclotomic_polynomial(n)
+        k = min(2, n - 1)
+        for genus, columns in ((0, ()), (2, (k,) * n)):
+            p, w = backend.field(n, k, genus, columns)[1:]
+            assert p % n == 1
+            acc = 0
+            for c in reversed(phi):
+                acc = (acc * w + c) % p
+            assert acc == 0, (n, genus, p, w)
+            assert all(pow(w, n // q, p) != 1 for q in primes), (n, genus)
 
 
 def test_non_unit_denominator_exits_4(monkeypatch):
