@@ -1,11 +1,11 @@
-"""The subset-sum kernel, evaluated as scalars modulo one prime.
+"""The subset-sum kernel, evaluated as scalars modulo one integer.
 
-Pick a prime p = 1 (mod n) above the query's L1 bound plus SPARE_BITS
-and a w = a^((p-1)/n) that passes the order test: w^n = 1 (mod p) and
-gcd(w^(n/q) - 1, p) = 1 for every prime q | n.  Then Phi_n(w) = 0
-(mod p) (see below), so x -> w is a ring map from Z[x]/Phi_n to Z/p,
-every root of unity becomes a power of w, and each per-subset term of
-the sum is one residue:
+The modulus is p = Phi_n(w), the n-th cyclotomic polynomial evaluated at
+an integer w chosen so that p lies above the query's L1 bound plus
+SPARE_BITS and gcd(p, n) = 1.  Phi_n(w) = 0 (mod p) holds by
+construction, so x -> w is a ring map from Z[x]/Phi_n to Z/p, every root
+of unity becomes a power of w, and each per-subset term of the sum is
+one residue:
 
     genus 0:   Delta_S * D_S        D = rho_S * (-1)^(k(k-1)/2) * V_S
     genus 1:   Delta_S
@@ -50,27 +50,20 @@ The full sum is a rational integer of absolute value below
 itself; the caller lifts it, checks it against the bound, and applies
 the sign and the genus-0 division by n^k.
 
-The order test is enough whether or not p is prime.  Let r be a prime
-factor of p; r does not divide n, since p = 1 (mod n).  The test makes
-w of order exactly n mod r, and mod r the roots of Phi_m are the
-elements of order m.  For a prime p that is the statement Phi_n(w) = 0,
-so the test picks the w that evaluating Phi_n would, and every residue
-is unchanged.  For a composite p that passed the Fermat test, x^n - 1
-is the product of the Phi_m(x) over m | n, and for m < n, Phi_m(w) is
-nonzero mod every such r, so a unit mod p; hence Phi_n(w) = 0 (mod p)
-and the map is still a ring map.  Likewise w^a - w^b = w^b(w^(a-b) - 1)
-with a != b (mod n) is nonzero mod every r, so a unit mod p.  den is a
-product of such differences, so it is a unit, and dividing by each V_S
-in it gives the image of R_S exactly.  pow(den, -1, p) still guards
-the inverse: if den is not a unit the kernel raises ArithmeticError
-(exit 4 on the command line) instead of returning a wrong value.
-This is the multi-modular method (von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 5) with a single prime.
+p need not be prime.  Let r be a prime factor of p.  Since gcd(p, n) = 1,
+r does not divide n, so x^n - 1 has no repeated root mod r and the roots
+of Phi_n mod r are the elements of order n; w is one of them.  Hence
+w^a - w^b = w^b(w^(a-b) - 1) with a != b (mod n) is nonzero mod every
+r, so a unit mod p.  den is a product of such differences, so it is a
+unit, and dividing by each V_S in it gives the image of R_S exactly.
+pow(den, -1, p) still guards the inverse: if den is not a unit the
+kernel raises ArithmeticError (exit 4 on the command line) instead of
+returning a wrong value.  This is the multi-modular method (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5) with a single modulus.
 """
 from math import comb, gcd, prod
 
 SPARE_BITS = 64
-_PRIMORIAL = prod((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 # (n, bits) -> (p, w); filling it twice is harmless
 _FIELDS = {}
@@ -93,47 +86,33 @@ def term_bound_bits(n, k, genus, columns, count):
     return (bound * max(count, 1)).bit_length()
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n, by trial division."""
-    primes, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    return primes + [n] if n > 1 else primes
-
-
-def _root_of_phi(n, p):
-    """A w of order n modulo every prime factor of p, or None after a few
-    tries: w^n = 1 and gcd(w^(n/q) - 1, p) = 1 for each prime q | n.
-    That makes Phi_n(w) = 0 (mod p); see the module docstring."""
-    cofactors = [n // q for q in _prime_factors(n)]
-    for a in range(2, 40):
-        w = pow(a, (p - 1) // n, p)
-        if pow(w, n, p) == 1 and all(gcd(pow(w, c, p) - 1, p) == 1 for c in cofactors):
-            return w
-    return None
+def _phi_at(n, w):
+    """Phi_n(w) for an integer w > 1: w^n - 1 divided exactly by Phi_d(w)
+    for each proper divisor d of n."""
+    value = w ** n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            value //= _phi_at(d, w)
+    return value
 
 
 def field(n, k, genus, columns):
     """(bits, p, w) for one query, shared by every rank range of its sum.
 
-    bits is term_bound_bits over all C(n, k) subsets, p = 1 (mod n) lies
-    above 2^(bits + SPARE_BITS), and w passes _root_of_phi's order test,
-    so Phi_n(w) = 0 (mod p).
+    bits is term_bound_bits over all C(n, k) subsets and p = Phi_n(w).
+    w starts at 1 + 2^ceil((bits + SPARE_BITS) / phi(n)), so p > (w -
+    1)^phi(n) >= 2^(bits + SPARE_BITS), since |w - zeta| > w - 1 for every
+    primitive n-th root zeta.  w is then raised by one until gcd(p, n) = 1.
+    Of the primes dividing n only the largest, r, can divide Phi_n(w), and
+    it does not when r | w, so that takes fewer than r steps.
     """
     bits = term_bound_bits(n, k, genus, columns, comb(n, k))
     got = _FIELDS.get((n, bits))
     if got is None:
-        p = ((1 << (bits + SPARE_BITS)) // n + 1) * n + 1
-        while True:
-            if p % 2 and gcd(p, _PRIMORIAL) == 1 and pow(2, p - 1, p) == 1:
-                w = _root_of_phi(n, p)
-                if w is not None:
-                    break
-            p += n
+        totient = sum(gcd(a, n) == 1 for a in range(n))
+        w = 1 + (1 << -(-(bits + SPARE_BITS) // totient))
+        while gcd(p := _phi_at(n, w), n) != 1:
+            w += 1
         got = _FIELDS[(n, bits)] = (p, w)
     return (bits,) + got
 

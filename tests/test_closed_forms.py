@@ -2,7 +2,7 @@
 
 The fusion oracle stops near Gr(4, 12) and vi_reference before that.  The
 two families here are classical formulas, written out in the tests only,
-so each one checks the kernel's necklaces, prime, bound and lift at sizes
+so each one checks the kernel's necklaces, modulus, bound and lift at sizes
 the oracles never see.  Each test states its source and the range it
 covers; if the kernel disagrees, the test fails.  A third, n^g for the
 rank-one count, is test_vi_engine.test_count_maximal_closed_form_rank_one.
@@ -53,8 +53,9 @@ def test_genus_zero_sigma_one_powers_match_rrw():
     a Quot scheme and quantum cohomology", Math. Ann. 1998.  The formula
     comes from Schubert calculus on the Quot scheme, so it checks the
     Vafa-Intriligator sum itself, not only the kernel's arithmetic.  Range:
-    every shape with n <= 12 and d <= 2 (198 queries), then six larger
-    ones with C(n, k) <= 20,000, among them sigma_1^95 on Gr(5, 20).
+    every shape with n <= 12 and d <= 2 (198 queries), then eight larger
+    ones with C(n, k) <= 20,000, among them sigma_1^95 on Gr(5, 20) and
+    two with k near n, whose genus-0 bound runs to over a thousand bits.
     """
     checked = 0
     for n in range(2, 13):
@@ -63,10 +64,11 @@ def test_genus_zero_sigma_one_powers_match_rrw():
                 checked += 1
                 assert vi_invariant(rrw_query(n, k, d)).value == rrw_sigma_one_power(n, k, d), \
                     (n, k, d)
-    for n, k, d in ((13, 10, 0), (15, 13, 2), (20, 5, 1), (27, 3, 1), (34, 3, 2), (40, 2, 2)):
+    for n, k, d in ((13, 10, 0), (15, 13, 2), (20, 5, 1), (27, 3, 1), (34, 3, 2), (40, 2, 2),
+                    (35, 34, 2), (30, 28, 2)):
         checked += 1
         assert vi_invariant(rrw_query(n, k, d)).value == rrw_sigma_one_power(n, k, d), (n, k, d)
-    assert checked == 204
+    assert checked == 206
 
 
 def cosecant_sum(m, n):

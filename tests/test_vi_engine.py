@@ -31,18 +31,12 @@ ROUTES = (vi_invariant, vi_reference, oracle_value)
 def admissible_queries(n, k, g, max_len, convention="dual"):
     """Every admissible monomial up to the given length, as queries."""
     out = []
-    shift = k * (n - k) * (1 - g)
     for m in range(max_len + 1):
         for mono in combinations_with_replacement(range(1, k + 1), m):
-            if convention == "paper":
-                weight = sum(k - a + 1 for a in mono)
-            else:
-                weight = sum(mono)
-            if (shift - weight) % n:
-                continue
-            e = (shift - weight) // n
-            out.append(InvariantQuery(n=n, k=k, g=g, e=e, monomial=mono,
-                                      convention=convention))
+            q = InvariantQuery(n=n, k=k, g=g, e=0, monomial=mono, convention=convention)
+            e, rest = divmod(required_weight(q) - sum(q.columns), n)
+            if not rest:
+                out.append(q.replace(e=e))
     return out
 
 
@@ -353,19 +347,23 @@ def test_half_rank_values_are_recorded():
 
 
 def test_field_root_is_a_root_of_the_cyclotomic_polynomial():
-    # field()'s w passes an order test, not an evaluation of Phi_n; hold it to
-    # Phi_n(w) = 0 (mod p) by Horner, and to order exactly n
-    for n in range(2, 65):
+    # field() evaluates Phi_n by its own divisor recursion; hold p to Phi_n(w)
+    # by Horner over the oracle's coefficients, above the bound, prime to n,
+    # and w to order exactly n modulo every prime factor of p
+    for n in range(2, 101):
         primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
         phi = cyclotomic_polynomial(n)
         k = min(2, n - 1)
         for genus, columns in ((0, ()), (2, (k,) * n)):
-            p, w = backend.field(n, k, genus, columns)[1:]
+            bits, p, w = backend.field(n, k, genus, columns)
             assert p % n == 1
             acc = 0
             for c in reversed(phi):
-                acc = (acc * w + c) % p
-            assert acc == 0, (n, genus, p, w)
+                acc = acc * w + c
+            assert acc == p, (n, genus, p, w)
+            assert p > 1 << (bits + backend.SPARE_BITS), (n, genus)
+            assert gcd(p, n) == 1, (n, genus)
+            assert all(gcd(pow(w, c, p) - 1, p) == 1 for c in range(1, n)), (n, genus)
             assert all(pow(w, n // q, p) != 1 for q in primes), (n, genus)
 
 
