@@ -30,9 +30,9 @@ genus 0 divides by n^k at the end.  vicalc.backend evaluates that sum in
 Z/p for the one modulus p = Phi_n(w), prime to n, sending zeta_n to the
 integer w, with p more than 64 bits above backend.term_bound_bits.  It
 generates one subset per rotation orbit, the orbit's necklace, and
-weights its term by the orbit's size.  That is exact because every term of an admissible
-sum is rotation invariant: a rotation multiplies a term by
-zeta_n^(-e*n) = 1.  Each term is built from prod_{i<j}(rho_i - rho_j)^2,
+weights its term by the orbit's size.  That is exact because every term
+of an admissible sum is rotation invariant: a rotation multiplies a term
+by zeta_n^(-e*n) = 1.  Each term is built from prod_{i<j}(rho_i - rho_j)^2,
 using R_S = n^k * (-1)^(k(k-1)/2) / (prod(rho) * prod_{i<j}(rho_i -
 rho_j)^2) at genus >= 2, and the sum takes one inverse mod p; a
 denominator that is not a unit raises ArithmeticError.  The whole sum
