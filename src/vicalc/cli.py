@@ -8,21 +8,22 @@ subcommand but qh-table prints one record, rendered by _record; the text
 form of corollary-report is its own three lines.  count-max always
 reports the dual spelling of its query.
 
-Exit codes: 0 success, 2 usage error (including a --workers value that
-is not a nonnegative integer, an option the subcommand does not take or
-an abbreviated one, and a batch line that is not a well-formed job, has
-an unknown top-level key, or has a help, format or convention
-parameter), 3 inadmissible query (the requested value does not
-exist: degree condition violated), 4 internal invariant violation (the
-algebra promised something the computation broke, e.g. a subset sum
-outside its L1 bound).
+Exit codes follow the exception type, and _run alone maps them: 0
+success; 3 InadmissibleQueryError (the requested value does not exist:
+degree condition violated); 2 any other ValueError, the one refusal type
+(a malformed option, shape or batch job), and argparse's own errors; 4
+anything else, an internal invariant violation (the algebra promised
+something the computation broke, e.g. a subset sum outside its L1
+bound).  A batch reports each refused line and exits with the first
+nonzero code.
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
-machine format so exactness survives round trips.  A batch file holds one
-JSON job per line, run in input order; a job's keys are subcommand,
-output_format, convention and parameters.  Every query runs in this one
-process; vi --workers is still parsed and validated so that existing
-command lines keep working, but it has no effect.
+machine format so exactness survives round trips, and they print at any
+size.  A batch file holds one JSON job per line, run in input order; a
+job's keys are subcommand, output_format, convention and parameters.
+Every query runs in this one process; vi --workers is still parsed and
+validated so that existing command lines keep working, but it has no
+effect.
 
 Modules load on demand: importing this module loads only the engine and
 the kernel, which is all vi, count-max and corollary-report run.
@@ -47,10 +48,6 @@ from .engine import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # small parsing and formatting helpers
 
@@ -60,14 +57,14 @@ def _int_list(text):
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise UsageError("expected integers, got %r" % (text,))
+        raise ValueError("expected integers, got %r" % (text,))
 
 
 def _fraction(text):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError("expected a rational like 1/2, got %r" % (text,))
+        raise ValueError("expected a rational like 1/2, got %r" % (text,))
 
 
 def _fraction_list(text):
@@ -88,7 +85,14 @@ def worker_count(text):
 
 
 def _rat(value):
-    return str(Fraction(value))
+    """Exact text of a rational of any size: the one place the int-to-text
+    digit limit is lifted, so input keeps it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(Fraction(value))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _bool(flag):
@@ -164,18 +168,15 @@ def _query_record(ns, n, k, g, e, d, monomial, convention, result):
         ("n", n), ("k", k), ("g", g), ("e", e), ("d", d),
         ("monomial", monomial), ("convention", convention),
         ("value", _rat(result.value)), ("integral", result.integral),
-        ("terms", result.terms_summed),
+        ("terms", _rat(result.terms_summed)),
     ], ("value", "integral"))
 
 
 def _run_vi(ns):
-    try:
-        query = InvariantQuery(
-            n=ns.n, k=ns.k, g=ns.g, e=ns.e, d=ns.d,
-            monomial=_int_list(ns.monomial), convention=ns.convention,
-        )
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    query = InvariantQuery(
+        n=ns.n, k=ns.k, g=ns.g, e=ns.e, d=ns.d,
+        monomial=_int_list(ns.monomial), convention=ns.convention,
+    )
     return _query_record(
         ns, query.n, query.k, query.g, query.e, query.d,
         ",".join(str(a) for a in query.monomial), query.convention, evaluate(query),
@@ -183,10 +184,7 @@ def _run_vi(ns):
 
 
 def _run_count_max(ns):
-    try:
-        result = count_maximal(ns.n, ns.d, ns.k, ns.g)
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    result = count_maximal(ns.n, ns.d, ns.k, ns.g)
     # the count is the dual query's; count-max has no e or monomial of its own
     return _query_record(ns, ns.n, ns.k, ns.g, None, ns.d, None, "dual", result)
 
@@ -195,22 +193,19 @@ def _run_qh_table(ns):
     from .symfunc import Partition, partitions_in_box, quantum_product
 
     if (ns.lhs is None) != (ns.rhs is None):
-        raise UsageError("--lhs and --rhs must be given together")
-    try:
-        if ns.lhs is not None:
-            pairs = [(Partition(_int_list(ns.lhs)), Partition(_int_list(ns.rhs)))]
-        else:
-            basis = partitions_in_box(ns.k, ns.n - ns.k)
-            pairs = [
-                (basis[i], basis[j])
-                for i in range(len(basis))
-                for j in range(i, len(basis))
-            ]
-        products = [
-            (lam, mu, quantum_product(lam, mu, ns.k, ns.n)) for lam, mu in pairs
+        raise ValueError("--lhs and --rhs must be given together")
+    if ns.lhs is not None:
+        pairs = [(Partition(_int_list(ns.lhs)), Partition(_int_list(ns.rhs)))]
+    else:
+        basis = partitions_in_box(ns.k, ns.n - ns.k)
+        pairs = [
+            (basis[i], basis[j])
+            for i in range(len(basis))
+            for j in range(i, len(basis))
         ]
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    products = [
+        (lam, mu, quantum_product(lam, mu, ns.k, ns.n)) for lam, mu in pairs
+    ]
     if ns.format == "json":
         obj = {
             "k": ns.k,
@@ -250,12 +245,12 @@ def _parse_point(spec):
     for entry in spec.split(","):
         bits = entry.split(":")
         if len(bits) != 2:
-            raise UsageError("marked point entry %r is not weight:multiplicity" % (entry,))
+            raise ValueError("marked point entry %r is not weight:multiplicity" % (entry,))
         weights.append(_fraction(bits[0]))
         try:
             mults.append(int(bits[1]))
         except ValueError:
-            raise UsageError("multiplicity %r is not an integer" % (bits[1],))
+            raise ValueError("multiplicity %r is not an integer" % (bits[1],))
     return weights, mults
 
 
@@ -263,14 +258,11 @@ def _run_parabolic_degree(ns):
     from .parabolic import MarkedPoint, ParabolicData, parabolic_degree
 
     points = [_parse_point(spec) for spec in ns.point or []]
-    try:
-        data = ParabolicData(
-            rank=ns.rank,
-            degree=ns.degree,
-            points=tuple(MarkedPoint(w, m) for w, m in points),
-        )
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    data = ParabolicData(
+        rank=ns.rank,
+        degree=ns.degree,
+        points=tuple(MarkedPoint(w, m) for w, m in points),
+    )
     rendered_points = "|".join(
         ";".join("%s:%d" % (w, m) for w, m in zip(p.weights, p.multiplicities))
         for p in data.points
@@ -285,17 +277,14 @@ def _run_s_invariant(ns):
     from .parabolic import s_invariant, weights_from_equivariant
 
     if ns.weights is not None and ns.exponents is not None:
-        raise UsageError("give --weights or --exponents, not both")
+        raise ValueError("give --weights or --exponents, not both")
     if ns.exponents is not None and not ns.group_order:
-        raise UsageError("--exponents requires --group-order")
-    try:
-        if ns.exponents is not None:
-            weights = weights_from_equivariant(ns.group_order, _int_list(ns.exponents))
-        else:
-            weights = _fraction_list(ns.weights)
-        value = s_invariant(ns.n, ns.k, ns.g, ns.eps, ns.group_order, weights)
-    except ValueError as ex:
-        raise UsageError(str(ex))
+        raise ValueError("--exponents requires --group-order")
+    if ns.exponents is not None:
+        weights = weights_from_equivariant(ns.group_order, _int_list(ns.exponents))
+    else:
+        weights = _fraction_list(ns.weights)
+    value = s_invariant(ns.n, ns.k, ns.g, ns.eps, ns.group_order, weights)
     return _record(ns, [
         ("n", ns.n), ("k", ns.k), ("g", ns.g), ("eps", ns.eps),
         ("group_order", ns.group_order), ("weights", ";".join(str(w) for w in weights)),
@@ -304,10 +293,7 @@ def _run_s_invariant(ns):
 
 
 def _run_corollary_report(ns):
-    try:
-        derived = count_maximal(ns.n, ns.d, 1, ns.g).value
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    derived = count_maximal(ns.n, ns.d, 1, ns.g).value
     claimed = Fraction(ns.n) ** (ns.n * ns.g)
     differ = claimed != derived
     if ns.format == "text":
@@ -406,7 +392,7 @@ def build_parser():
 def _job_field(job, key, kind, default=None):
     value = job.get(key, default)
     if not isinstance(value, kind):
-        raise UsageError("%s must be a JSON %s, got %s" % (
+        raise ValueError("%s must be a JSON %s, got %s" % (
             key, "object" if kind is dict else "string", json.dumps(value)))
     return value
 
@@ -423,19 +409,19 @@ _REFUSED_PARAMETERS = {
 
 def _job_to_argv(job):
     if not isinstance(job, dict):
-        raise UsageError("job line must be a JSON object")
+        raise ValueError("job line must be a JSON object")
     unknown = sorted(set(job) - _JOB_KEYS)
     if unknown:
-        raise UsageError("unknown job key %s" % ", ".join(map(repr, unknown)))
+        raise ValueError("unknown job key %s" % ", ".join(map(repr, unknown)))
     sub = job.get("subcommand")
     if not isinstance(sub, str) or sub not in _RUNNERS:
-        raise UsageError("unknown subcommand %r" % (sub,))
+        raise ValueError("unknown subcommand %r" % (sub,))
     argv = [sub, "--format", _job_field(job, "output_format", str, "text")]
     if "convention" in job:
         argv += ["--convention", _job_field(job, "convention", str)]
     for key, value in sorted(_job_field(job, "parameters", dict, {}).items()):
         if key in _REFUSED_PARAMETERS:
-            raise UsageError("parameter %r refused: %s" % (key, _REFUSED_PARAMETERS[key]))
+            raise ValueError("parameter %r refused: %s" % (key, _REFUSED_PARAMETERS[key]))
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, (list, tuple)):
             if key == "point":
@@ -452,17 +438,18 @@ def _execute_batch(parser, path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as ex:
+    except (OSError, ValueError) as ex:  # unreadable, or not UTF-8
         return 2, "", "vicalc: error: %s\n" % ex
     out_parts, err_parts, code = [], [], 0
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
+        # json raises RecursionError, not ValueError, on a line nested past the recursion limit
         try:
             job = json.loads(line)
             argv = _job_to_argv(job)
-        except (UsageError, json.JSONDecodeError) as ex:
+        except (ValueError, RecursionError) as ex:
             err_parts.append("vicalc: batch line %d: %s\n" % (lineno, ex))
             code = code or 2
             continue
@@ -486,10 +473,10 @@ def _run(parser, argv):
         return _execute_batch(parser, ns.path)
     try:
         return 0, _RUNNERS[ns.command](ns), ""
-    except UsageError as ex:
-        return 2, "", "vicalc: error: %s\n" % ex
-    except InadmissibleQueryError as ex:
+    except InadmissibleQueryError as ex:  # first: it is a ValueError
         return 3, "", "vicalc: inadmissible query: %s\n" % ex
+    except ValueError as ex:
+        return 2, "", "vicalc: error: %s\n" % ex
     except Exception as ex:
         return 4, "", "vicalc: internal invariant violation: %s\n" % ex
 

@@ -266,7 +266,7 @@ def count_maximal(n, d, k, genus):
     n, d, k, genus = map(operator.index, (n, d, k, genus))
     query = InvariantQuery(n, k, genus, 0)  # validates n before the division by n
     b = -d % n
-    e, rest = divmod(k * (n - k) * (1 - genus) - k * b, n)
+    e, rest = divmod(required_weight(query) - k * b, n)
     if rest:
         return InvariantResult(value=Fraction(0), terms_summed=comb(n, k))
     return vi_invariant(query.replace(e=e, monomial=(k,) * b, convention="dual"))

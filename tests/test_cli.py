@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import vicalc
 from vicalc.cli import _execute, build_parser, main
+from vicalc.engine import InadmissibleQueryError
 
 
 def run(*argv):
@@ -312,7 +314,7 @@ def test_usage_errors_exit_2():
 
 
 def test_internal_failure_exits_4(monkeypatch):
-    def boom(query, workers=0):
+    def boom(query):
         raise RuntimeError("lost exactness")
 
     monkeypatch.setattr("vicalc.cli.evaluate", boom)
@@ -320,6 +322,97 @@ def test_internal_failure_exits_4(monkeypatch):
     assert code == 4
     assert "internal invariant violation" in err
     assert "lost exactness" in err
+
+
+# each runner with the library call it makes, which a test may replace
+RUNNER_CALLS = [
+    (("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0"), "vicalc.cli.evaluate"),
+    (("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2"), "vicalc.cli.count_maximal"),
+    (("corollary-report", "--n", "3", "--g", "2"), "vicalc.cli.count_maximal"),
+    (("qh-table", "--k", "2", "--n", "4", "--lhs", "1", "--rhs", "1"),
+     "vicalc.symfunc.quantum_product"),
+    (("parabolic-degree", "--rank", "2", "--degree", "0"), "vicalc.parabolic.parabolic_degree"),
+    (("s-invariant", "--n", "4", "--k", "2", "--g", "1", "--eps", "2"),
+     "vicalc.parabolic.s_invariant"),
+]
+
+EXIT_BY_EXCEPTION = {
+    ValueError: (2, "vicalc: error: "),
+    InadmissibleQueryError: (3, "vicalc: inadmissible query: "),
+    ArithmeticError: (4, "vicalc: internal invariant violation: "),
+}
+
+
+@pytest.mark.parametrize("argv,call", [pytest.param(argv, call, id=argv[0])
+                                       for argv, call in RUNNER_CALLS])
+@pytest.mark.parametrize("exc", list(EXIT_BY_EXCEPTION), ids=lambda exc: exc.__name__)
+def test_exit_code_follows_the_exception_type(monkeypatch, argv, call, exc):
+    # the same exception exits the same way from every runner
+    def raiser(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(call, raiser)
+    code, prefix = EXIT_BY_EXCEPTION[exc]
+    assert run(*argv) == (code, "", prefix + "injected\n")
+
+
+def _exact_text(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_values_print_at_any_size():
+    # 3^10000 has 4,772 digits, past the interpreter's default int-to-text limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run("count-max", "--n", "3", "--d", "0", "--k", "1", "--g", "10000",
+                         "--format", "json")
+    assert (code, out, err) == \
+        (0, '{"value":"%s","integral":true}\n' % _exact_text(3 ** 10000), "")
+    code, out, err = run("corollary-report", "--n", "5", "--g", "2000", "--d", "1",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "5,1,2000,%s,%s,true" % (_exact_text(5 ** 10000),
+                                                         _exact_text(5 ** 2000))
+    # off the degree condition the count is 0 over C(20000, 10000) terms, 6,018 digits
+    code, out, err = run("count-max", "--n", "20000", "--d", "1", "--k", "10000", "--g", "0",
+                         "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "20000,10000,0,,1,,dual,0,true,%s" % _exact_text(
+        comb(20000, 10000))
+    # the limit is lifted only around the conversion: input keeps it
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run("vi", "--n", "7" * 5000, "--k", "2", "--g", "1", "--e", "0")
+    assert (code, out) == (2, "")
+    assert "--n: invalid int value" in err
+
+
+def test_batch_refuses_unreadable_files(tmp_path):
+    path = tmp_path / "latin1.ndjson"
+    path.write_bytes(b'{"subcommand": "vi", "parameters": {"n": "\xe9"}}\n')
+    code, out, err = run("batch", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("vicalc: error: 'utf-8' codec can't decode byte 0xe9")
+    code, out, err = run("batch", "jobs\0.ndjson")
+    assert (code, out, err) == (2, "", "vicalc: error: embedded null byte\n")
+
+
+def test_batch_lines_json_cannot_read_are_usage_errors(tmp_path):
+    good = json.dumps({"subcommand": "vi", "output_format": "json",
+                       "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}})
+    huge = '{"subcommand": "vi", "parameters": {"n": %s}}' % ("9" * 4400)
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join([good, huge, "[" * 200000, good]) + "\n")
+    code, out, err = run("batch", str(path))
+    assert code == 2
+    assert out == '{"value":"6","integral":true}\n' * 2
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("vicalc: batch line 2: Exceeds the limit (4300 digits)")
+    assert lines[1].startswith("vicalc: batch line 3: maximum recursion depth exceeded")
 
 
 def test_workers_do_not_change_bytes():

@@ -393,6 +393,31 @@ def test_convention_duality():
                 assert vi_invariant(q).value == vi_invariant(mirrored).value
 
 
+def test_grassmannian_duality_twins():
+    """Gr(k, n) = Gr(n-k, n): a query equals its twin on the dual Grassmannian.
+
+    The isomorphism sends sigma_lambda to sigma_lambda' (the conjugate), so
+    sigma_1 to itself, and the degree condition is symmetric in k and n-k
+    (Witten, "The Verlinde algebra and the cohomology of the Grassmannian",
+    1993).  The twin is a different subset sum: another k, another p and
+    other necklaces.  No sign enters.  Range: every admissible dual query
+    with sigma_1^m or no insertions, n <= 12, g <= 3, m <= 7 (288 pairs).
+    """
+    checked = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            for g in range(4):
+                for m in range(8):
+                    e, rest = divmod(k * (n - k) * (1 - g) - m, n)
+                    if rest:
+                        continue
+                    query = InvariantQuery(n, k, g, e, monomial=(1,) * m, convention="dual")
+                    twin = query.replace(k=n - k)
+                    assert vi_invariant(query).value == vi_invariant(twin).value, (n, k, g, m)
+                    checked += 1
+    assert checked == 288
+
+
 def test_count_maximal_examples():
     # n=2, k=1, g=2, b=1: 2^(g-1) * root power sum at b-g+1 = 0 gives 4
     assert count_maximal(2, 1, 1, 2).value == 4
