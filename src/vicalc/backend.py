@@ -20,7 +20,10 @@ differences inside S, and
     R_S = n^k * (-1)^(k(k-1)/2) * rho_S^(-1) / V_S.
 
 So every genus builds its term from the one O(k^2) product V_S, not
-from the O(k(n-k)) product R_S.  rho_S^(-(g-1)) is the power
+from the O(k(n-k)) product R_S.  The kernel keeps the n powers w^c mod
+p, built as a running product, and takes each difference rho_i - rho_j
+of V_S from them inside the pair loop, so it holds n residues, not
+n^2.  rho_S^(-(g-1)) is the power
 w^(-(g-1)*sum(S)) and needs no inverse; the constant (n^k * sign)^(g-1)
 is applied once; and the genus >= 2 terms are added as one fraction
 num/den, so a call takes one inverse mod p, of den.
@@ -184,8 +187,9 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
     the genus >= 2 denominator is not a unit mod p.
     """
     _, p, w = field(n, k, genus, columns)
-    roots = [pow(w, c, p) for c in range(n)]
-    diff = [[(a - b) % p for b in roots] for a in roots]
+    roots = [1] * n  # roots[c] = w^c mod p, one product per power
+    for c in range(1, n):
+        roots[c] = roots[c - 1] * w % p
     jmax = max(columns, default=0)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     # the factors every term shares: sign at genus 0, (n^k * sign)^(g-1) above it
@@ -205,9 +209,9 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
             continue
         v = 1
         for i, a in enumerate(subset):
-            row = diff[a]
+            x = roots[a]
             for b in subset[i + 1:]:
-                v = v * row[b] % p
+                v = v * (x - roots[b]) % p
         v = v * v % p
         term = term * roots[(1 - genus) * sum(subset) % n] % p  # rho_S^(1-g)
         if genus == 0:

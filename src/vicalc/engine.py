@@ -46,7 +46,7 @@ wrong value.  A corrupted residue slips through with probability below
 
 import operator
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import backend
 
@@ -208,23 +208,19 @@ def evaluate(query):
 
 def reference_term(n, k, genus, columns, exponents):
     """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic."""
-    from .cyclotomic import CyclotomicNumber, zeta
+    from itertools import permutations
+
+    from .cyclotomic import zeta
     from .symfunc import elementary_symmetric
 
     roots = [zeta(n, c) for c in exponents]
     e = {j: elementary_symmetric(j, roots) for j in set(columns)}
-    delta = CyclotomicNumber(n, [1])
+    delta = zeta(n, 0)  # the field's 1: a field element even with no insertions
     for j in columns:
         delta = delta * e[j]
     if genus == 1:
         return delta  # D^0: the k^2 products of D would be wasted
-    d = CyclotomicNumber(n, [1])
-    for rho in roots:
-        d = d * rho
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                d = d * (roots[i] - roots[j])
+    d = prod(roots) * prod(a - b for a, b in permutations(roots, 2))  # over i != j
     return delta * d ** (1 - genus)
 
 
@@ -233,12 +229,9 @@ def vi_reference(query):
     _require_admissible(query)
     from itertools import combinations
 
-    from .cyclotomic import CyclotomicNumber
-
     n, k, genus = query.n, query.k, query.g
-    total = CyclotomicNumber(n, [])
-    for subset in combinations(range(n), k):
-        total = total + reference_term(n, k, genus, query.columns, subset)
+    total = sum(reference_term(n, k, genus, query.columns, subset)
+                for subset in combinations(range(n), k))
     alpha = k * (genus - 1)
     value = Fraction(sign_factor(query.e, k)) * Fraction(query.n) ** alpha * total.to_rational()
     return InvariantResult(value=value, terms_summed=comb(n, k))
@@ -248,15 +241,16 @@ def vi_reference(query):
 # maximal-subbundle counts
 
 def count_maximal(n, d, k, genus):
-    """Count of maximal subbundles m(n, d, k, g), as one dual query.
+    """Count of maximal subbundles m(n, d, k, g), as the degree-d dual query.
 
-    Writes d = a*n - b with 0 <= b < n.  The Intriligator-Vafa count is
+    The Intriligator-Vafa count is the dual query on Gr(k, n) with bundle
+    degree d, no insertions and e = (k*d + k(n-k)(1-g))/n.  degree_reduce
+    writes d = a*n - b with 0 <= b < n and appends b copies of the top
+    class sigma_k = prod(rho), so the sum is
 
         sign * n^(k(g-1)) * sum_S sigma_k(S)^(b-g+1) / prod_{i!=j}(rho_i-rho_j)^(g-1)
 
-    and since sigma_k(S) = prod(rho), this is the dual query with monomial
-    (k,)*b and e = (k(n-k)(1-g) - k*b)/n, evaluated by vi_invariant.  Its
-    sign (-1)^(e(k-1)) is the one the fusion oracle confirms, so counts
+    Its sign (-1)^(e(k-1)) is the one the fusion oracle confirms, so counts
     are nonnegative (Holla, "Counting maximal subbundles via Gromov-Witten
     invariants", Math. Ann. 2004).  When e is not an integer the degree
     condition fails: rotating S multiplies every term by a nontrivial n-th
@@ -264,9 +258,8 @@ def count_maximal(n, d, k, genus):
     The labelling a <-> k-a+1 does not change the count.
     """
     n, d, k, genus = map(operator.index, (n, d, k, genus))
-    query = InvariantQuery(n, k, genus, 0)  # validates n before the division by n
-    b = -d % n
-    e, rest = divmod(required_weight(query) - k * b, n)
+    query = InvariantQuery(n, k, genus, 0, convention="dual")  # validates n before dividing by n
+    e, rest = divmod(k * d + required_weight(query), n)
     if rest:
         return InvariantResult(value=Fraction(0), terms_summed=comb(n, k))
-    return vi_invariant(query.replace(e=e, monomial=(k,) * b, convention="dual"))
+    return evaluate(query.replace(e=e, d=d))

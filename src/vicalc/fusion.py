@@ -18,7 +18,7 @@ tests hold the two routes equal.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from .cyclotomic import CyclotomicNumber, zeta
+from .cyclotomic import zeta
 from .engine import _require_admissible
 from .symfunc import (
     Partition,
@@ -186,43 +186,33 @@ def _spectrum_points(k, n):
 
     For even k the points live among the 2n-th roots of unity (odd powers),
     so the arithmetic runs in Q(zeta_2n); for odd k plain n-th roots suffice.
+    Each point is a list of CyclotomicNumber roots, which carry their field.
     """
     if k % 2:
-        order = n
-        exps = list(range(n))
+        order, exps = n, list(range(n))
     else:
-        order = 2 * n
-        exps = [2 * j + 1 for j in range(n)]
-    pts = []
-    for sub in combinations(range(n), k):
-        pts.append([zeta(order, exps[j]) for j in sub])
-    return order, pts
+        order, exps = 2 * n, [2 * j + 1 for j in range(n)]
+    return [[zeta(order, exps[j]) for j in sub] for sub in combinations(range(n), k)]
 
 
-def _schur_value(lam, ents, order):
+def _schur_value(lam, ents):
     """s_lam at one point via the dual Jacobi-Trudi determinant, from the
     point's e_0..e_k in `ents`."""
     conj = lam.conjugate()
     if not conj:
-        return CyclotomicNumber(order, [1])
-    zero = CyclotomicNumber(order, [])
-    mat = [[ents[t] if 0 <= t < len(ents) else zero
+        return 1
+    mat = [[ents[t] if 0 <= t < len(ents) else 0
             for t in range(c - i, c - i + len(conj))]
            for i, c in enumerate(conj)]
-    return _det(mat, order)
+    return _det(mat)
 
 
-def _det(mat, order):
-    size = len(mat)
-    if size == 1:
+def _det(mat):
+    """Laplace expansion along the first row, over any commutative ring."""
+    if len(mat) == 1:
         return mat[0][0]
-    total = CyclotomicNumber(order, [])
-    sign = 1
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        total = total + mat[0][j] * _det(minor, order) * sign
-        sign = -sign
-    return total
+    return sum(entry * _det([row[:j] + row[j + 1 :] for row in mat[1:]]) * (-1) ** j
+               for j, entry in enumerate(mat[0]))
 
 
 def correlator_via_spectrum(classes, genus, k, n):
@@ -236,16 +226,13 @@ def correlator_via_spectrum(classes, genus, k, n):
     algebras", 1996.  Intended for small n (the tests use n <= 5).
     """
     alg = fusion_algebra(k, n)
-    order, pts = _spectrum_points(k, n)
     dual = [alg.class_index([alg.cols - p.row(k - 1 - i) for i in range(k)])
             for p in alg.basis]
-    total = CyclotomicNumber(order, [])
-    for vals in pts:
+    total = 0
+    for vals in _spectrum_points(k, n):
         ents = [elementary_symmetric(t, vals) for t in range(k + 1)]
-        chars = [_schur_value(p, ents, order) for p in alg.basis]
-        handle = CyclotomicNumber(order, [])
-        for i, j in enumerate(dual):
-            handle = handle + chars[i] * chars[j]
+        chars = [_schur_value(p, ents) for p in alg.basis]
+        handle = sum(chars[i] * chars[j] for i, j in enumerate(dual))
         val = handle ** (genus - 1)
         for parts in classes:
             val = val * chars[alg.class_index(parts)]

@@ -20,12 +20,13 @@ removal order, so it is read off the beta numbers mod n in closed form
 (Bertram, Ciocan-Fontanine and Fulton, "Quantum multiplication of Schur
 polynomials", J. Algebra 1999); tests hold it to every removal sequence
 of the one-strip walk.
+
+Everything here is integer combinatorics.  elementary_symmetric takes its
+values from any commutative ring, starting from the ints 1 and 0, so the
+oracles hand it roots of unity without this module importing the field.
 """
 
 import operator
-from fractions import Fraction
-
-from .cyclotomic import CyclotomicNumber
 
 
 class Partition(tuple):
@@ -76,20 +77,14 @@ def partitions_in_box(rows, cols):
 
 
 def elementary_symmetric(j, values):
-    """e_j of a list of cyclotomic numbers by the one-pass recurrence."""
+    """e_j of a list of values in any commutative ring, by the one-pass
+    recurrence started from the integers 1 and 0: so e_0 is the int 1 and
+    e_j for j > len(values) the int 0, and the values decide how they
+    combine with an int."""
     if j < 0:
         raise ValueError("negative elementary symmetric index")
-    if j > len(values):
-        return Fraction(0)
-    if not values:
-        return Fraction(1)
-    order = values[0].order
-    one = CyclotomicNumber(order, [1])
-    zero = CyclotomicNumber(order, [])
-    e = [one] + [zero] * j
-    seen = 0
-    for x in values:
-        seen += 1
+    e = [1] + [0] * j
+    for seen, x in enumerate(values, 1):
         for t in range(min(j, seen), 0, -1):
             e[t] = e[t] + x * e[t - 1]
     return e[j]

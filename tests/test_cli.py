@@ -493,6 +493,30 @@ def test_vi_and_count_max_import_only_the_engine():
     assert unwanted.isdisjoint(modules), sorted(unwanted & set(modules))
 
 
+def test_qh_table_imports_symfunc_but_not_the_field():
+    # qh-table is partition combinatorics: symfunc starts its sums from plain
+    # 0 and 1, so it needs nothing from the cyclotomic field
+    script = (
+        "import json, sys\n"
+        "from vicalc.cli import main\n"
+        "code = main(['qh-table', '--k', '2', '--n', '4', '--lhs', '2', '--rhs', '1,1',"
+        " '--format', 'json'])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(vicalc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out, last = proc.stdout.splitlines()
+    assert json.loads(out)["products"][0]["terms"] == [{"partition": [], "q": 1, "coeff": 1}]
+    code, modules = json.loads(last)
+    assert code == 0
+    assert "vicalc.symfunc" in modules
+    assert "vicalc.cyclotomic" not in modules
+
+
 def test_batch_runs_in_input_order(tmp_path):
     jobs = [
         {"subcommand": "vi", "output_format": "json",

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -198,6 +198,19 @@ def test_elementary_symmetric_matches_brute_force():
     assert elementary_symmetric(0, roots) == Fraction(1)
     assert elementary_symmetric(5, roots) == Fraction(0)
     assert elementary_symmetric(2, []) == Fraction(0)
+
+
+def test_elementary_symmetric_over_ints_and_fractions():
+    # the recurrence starts from the ints 1 and 0, so any ring of values works
+    samples = ([], [3], [2, -1, 5, 7], [Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3)])
+    for values in samples:
+        for j in range(len(values) + 2):
+            expected = sum(prod(pick) for pick in combinations(values, j))
+            assert elementary_symmetric(j, values) == expected, (values, j)
+    assert type(elementary_symmetric(0, [Fraction(1, 2)])) is int
+    assert type(elementary_symmetric(2, [Fraction(1, 2)])) is int
+    with pytest.raises(ValueError, match="negative"):
+        elementary_symmetric(-1, [1, 2])
 
 
 def test_lr_known_values():

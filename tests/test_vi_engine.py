@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb, factorial, gcd
@@ -449,6 +450,19 @@ def test_count_maximal_closed_form_rank_one():
                 assert got.integral
                 checked += 1
     assert checked == 12285
+
+
+def test_count_maximal_memory_grows_with_n_not_n_squared():
+    # the kernel keeps the n powers of w, not an n x n table of differences:
+    # at n = 1000 that table of a million residues took over 100 MiB
+    tracemalloc.start()
+    try:
+        got = count_maximal(1000, 0, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.value == 1000
+    assert peak < 8 << 20, peak
 
 
 def test_count_maximal_conventions_and_guards():
