@@ -220,13 +220,15 @@ class CyclotomicNumber:
             return NotImplemented
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = _make(self.order, *_rational(self.order, 1))
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
+        if not exp:
+            return _make(self.order, *_rational(self.order, 1))
+        # left to right over the bits below the top one: x^m in
+        # bit_length(m) - 1 squarings and one product per further set bit
+        result = self
+        for bit in bin(exp)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

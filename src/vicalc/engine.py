@@ -42,6 +42,13 @@ lift exceeds the bound means the evaluation is broken, and raises
 ArithmeticError (exit 4 on the command line) instead of returning a
 wrong value.  A corrupted residue slips through with probability below
 2^-64.
+
+vi_reference is the slow literal route: it still visits every k-subset
+and does its arithmetic in Q(zeta_n), with the ordered-pair product for D
+and the Galois-norm inverse for D^(1-g).  A subset's e_0..e_k and D^(1-g)
+do not depend on the monomial, so they are computed once per process and
+kept in _TERMS, keyed by (n, genus, root exponents); it grows with the
+shapes asked for and is never emptied.
 """
 
 import operator
@@ -206,22 +213,42 @@ def evaluate(query):
 # ---------------------------------------------------------------------------
 # literal per-subset reference path (slow, used by tests and the benchmark)
 
+# (n, genus, root exponents) -> (e_0..e_k, D^(1-g)) of that root tuple
+_TERMS = {}
+
+
 def reference_term(n, k, genus, columns, exponents):
-    """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic."""
+    """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic.
+
+    The tuple's e_0..e_k and D^(1-g) do not depend on the monomial, so they
+    are computed once per process and kept in _TERMS; a call multiplies its
+    columns' e_j into the kept D^(1-g).
+    """
+    exponents = tuple(exponents)
+    key = (n, genus, exponents)
+    got = _TERMS.get(key)
+    if got is None:
+        got = _TERMS[key] = _term_factors(n, genus, exponents)
+    ents, term = got
+    for j in columns:
+        term = term * ents[j]
+    return term
+
+
+def _term_factors(n, genus, exponents):
+    """(e_0..e_k, D^(1-g)) for the roots zeta_n^c, c in exponents, with
+    D = prod(rho) * prod_{i != j}(rho_i - rho_j) over ordered pairs."""
     from itertools import permutations
 
     from .cyclotomic import zeta
-    from .symfunc import elementary_symmetric
+    from .symfunc import elementary_symmetrics
 
     roots = [zeta(n, c) for c in exponents]
-    e = {j: elementary_symmetric(j, roots) for j in set(columns)}
-    delta = zeta(n, 0)  # the field's 1: a field element even with no insertions
-    for j in columns:
-        delta = delta * e[j]
+    ents = tuple(elementary_symmetrics(len(roots), roots))
     if genus == 1:
-        return delta  # D^0: the k^2 products of D would be wasted
-    d = prod(roots) * prod(a - b for a, b in permutations(roots, 2))  # over i != j
-    return delta * d ** (1 - genus)
+        return ents, zeta(n, 0)  # D^0, the field's 1: the k^2 products of D would be wasted
+    d = prod(roots) * prod(a - b for a, b in permutations(roots, 2))
+    return ents, d ** (1 - genus)
 
 
 def vi_reference(query):

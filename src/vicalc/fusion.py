@@ -13,6 +13,12 @@ A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
 with each idempotent counit read off the handle element's character;
 tests hold the two routes equal.
+
+Each algebra is built once per process and kept in _ALGEBRAS, and keeps
+what its queries reuse: products, the pairing, the handle powers H^g and,
+for the spectral route, every point's characters and the weights
+chi_t(H)^(g-1) per genus.  All of it grows with the shapes and genera
+asked for and is never emptied.
 """
 
 from fractions import Fraction
@@ -22,7 +28,7 @@ from .cyclotomic import zeta
 from .engine import _require_admissible
 from .symfunc import (
     Partition,
-    elementary_symmetric,
+    elementary_symmetrics,
     lr_coefficient,
     partitions_in_box,
     quantum_product,
@@ -54,6 +60,8 @@ class FusionAlgebra:
         self._dual = None
         self._handle = None
         self._handle_powers = []
+        self._characters = None
+        self._spectral_weights = {}
 
     def class_index(self, parts):
         p = Partition(parts)
@@ -144,6 +152,30 @@ class FusionAlgebra:
             powers.append(self.multiply(powers[-1], powers[0]))
         return powers[genus - 1]
 
+    def characters(self):
+        """Per spectral point, (the basis characters s_lam(t), chi_t(H)), with
+        H's character sum_lam s_lam(t) * s_lam^dual(t) and lam^dual the box
+        complement; computed once per algebra."""
+        if self._characters is None:
+            k = self.k
+            dual = [self.class_index([self.cols - p.row(k - 1 - i) for i in range(k)])
+                    for p in self.basis]
+            out = []
+            for vals in _spectrum_points(k, self.n):
+                ents = elementary_symmetrics(k, vals)
+                chars = tuple(_schur_value(p, ents) for p in self.basis)
+                out.append((chars, sum(chars[i] * chars[j] for i, j in enumerate(dual))))
+            self._characters = tuple(out)
+        return self._characters
+
+    def spectral_weights(self, genus):
+        """chi_t(H)^(genus-1) per spectral point, kept per algebra and genus."""
+        got = self._spectral_weights.get(genus)
+        if got is None:
+            got = tuple(handle ** (genus - 1) for _, handle in self.characters())
+            self._spectral_weights[genus] = got
+        return got
+
     def correlator(self, classes, genus):
         """Genus-g correlator of the box classes, an exact Fraction: with v their
         product, counit(v * H^g) = sum_i v_i * (H^g)[dual(i)], dual the pairing permutation."""
@@ -223,19 +255,16 @@ def correlator_via_spectrum(classes, genus, k, n):
     character chi_t(H), the inverse of the idempotent counit there, so the
     genus-g trace is sum_t prod s_class(t) * chi_t(H)^(g-1); see Abrams,
     "Two-dimensional topological quantum field theories and Frobenius
-    algebras", 1996.  Intended for small n (the tests use n <= 5).
+    algebras", 1996.  The characters and the weights chi_t(H)^(g-1) are
+    kept on the algebra, so a call multiplies only its classes' characters
+    into them.  Intended for small n (the tests use n <= 5).
     """
     alg = fusion_algebra(k, n)
-    dual = [alg.class_index([alg.cols - p.row(k - 1 - i) for i in range(k)])
-            for p in alg.basis]
+    picked = [alg.class_index(parts) for parts in classes]
     total = 0
-    for vals in _spectrum_points(k, n):
-        ents = [elementary_symmetric(t, vals) for t in range(k + 1)]
-        chars = [_schur_value(p, ents) for p in alg.basis]
-        handle = sum(chars[i] * chars[j] for i, j in enumerate(dual))
-        val = handle ** (genus - 1)
-        for parts in classes:
-            val = val * chars[alg.class_index(parts)]
+    for (chars, _), val in zip(alg.characters(), alg.spectral_weights(genus)):
+        for i in picked:
+            val = val * chars[i]
         total = total + val
     return total.to_rational()
 

@@ -21,7 +21,7 @@ removal order, so it is read off the beta numbers mod n in closed form
 polynomials", J. Algebra 1999); tests hold it to every removal sequence
 of the one-strip walk.
 
-Everything here is integer combinatorics.  elementary_symmetric takes its
+Everything here is integer combinatorics.  elementary_symmetrics takes its
 values from any commutative ring, starting from the ints 1 and 0, so the
 oracles hand it roots of unity without this module importing the field.
 """
@@ -76,18 +76,23 @@ def partitions_in_box(rows, cols):
     return out
 
 
-def elementary_symmetric(j, values):
-    """e_j of a list of values in any commutative ring, by the one-pass
-    recurrence started from the integers 1 and 0: so e_0 is the int 1 and
-    e_j for j > len(values) the int 0, and the values decide how they
-    combine with an int."""
+def elementary_symmetrics(j, values):
+    """[e_0, ..., e_j] of a list of values in any commutative ring, by one
+    pass of the recurrence started from the integers 1 and 0: so e_0 is
+    the int 1 and e_t for t > len(values) the int 0, and the values decide
+    how they combine with an int."""
     if j < 0:
         raise ValueError("negative elementary symmetric index")
     e = [1] + [0] * j
     for seen, x in enumerate(values, 1):
         for t in range(min(j, seen), 0, -1):
             e[t] = e[t] + x * e[t - 1]
-    return e[j]
+    return e
+
+
+def elementary_symmetric(j, values):
+    """e_j of a list of values, the last entry of elementary_symmetrics."""
+    return elementary_symmetrics(j, values)[j]
 
 
 def _lr_strips(shape, prev, letter, size, rest, outer):

@@ -101,6 +101,37 @@ def test_pow_negative_matches_inverse():
         assert a ** 0 == CyclotomicNumber(n, [1])
 
 
+def test_pow_matches_repeated_products_with_fewest_products(monkeypatch):
+    # x^m for m in -3..6 is the m-fold product (of x^-1 when m < 0), and
+    # the square-and-multiply walk starts from x: x^1..x^4 take 0, 1, 2, 2
+    # field products, and x^-1 none beyond the inverse
+    rng = random.Random(20246)
+    for n in (3, 5, 8, 12):
+        x = random_nonzero(rng, n)
+        inv = x.inverse()
+        for m in range(-3, 7):
+            want = 1
+            for _ in range(abs(m)):
+                want = want * (x if m > 0 else inv)
+            got = x ** m
+            assert got == want and isinstance(got, CyclotomicNumber), (n, m)
+        assert x ** 0 == 1
+    products = []
+    mul = CyclotomicNumber.__mul__
+
+    def counted(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    monkeypatch.setattr(CyclotomicNumber, "inverse", lambda self: self)
+    x = zeta(7, 2) + 3
+    for m, count in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (-1, 0), (-4, 2)):
+        del products[:]
+        x ** m
+        assert len(products) == count, m
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError, match="incompatible cyclotomic orders"):
         zeta(3) + zeta(4)

@@ -13,6 +13,7 @@ from vicalc.symfunc import (
     Partition,
     _lr_expand,
     elementary_symmetric,
+    elementary_symmetrics,
     lr_coefficient,
     partitions_in_box,
     quantum_product,
@@ -207,6 +208,8 @@ def test_elementary_symmetric_over_ints_and_fractions():
         for j in range(len(values) + 2):
             expected = sum(prod(pick) for pick in combinations(values, j))
             assert elementary_symmetric(j, values) == expected, (values, j)
+        assert elementary_symmetrics(len(values) + 1, values) == [
+            elementary_symmetric(j, values) for j in range(len(values) + 2)]
     assert type(elementary_symmetric(0, [Fraction(1, 2)])) is int
     assert type(elementary_symmetric(2, [Fraction(1, 2)])) is int
     with pytest.raises(ValueError, match="negative"):
