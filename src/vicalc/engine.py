@@ -45,10 +45,12 @@ wrong value.  A corrupted residue slips through with probability below
 
 vi_reference is the slow literal route: it still visits every k-subset
 and does its arithmetic in Q(zeta_n), with the ordered-pair product for D
-and the Galois-norm inverse for D^(1-g).  A subset's e_0..e_k and D^(1-g)
-do not depend on the monomial, so they are computed once per process and
-kept in _TERMS, keyed by (n, genus, root exponents); it grows with the
-shapes asked for and is never emptied.
+and the Galois-norm inverse for D^(1-g).  A subset's D^(1-g) and e_0..e_k
+do not depend on the monomial, so each is computed once per process and
+kept: D^(1-g) in _D_POWERS by (n, genus, root exponents), and e_0..e_k,
+which do not depend on the genus either, in _ELEMENTARY by (n, root
+exponents), the first time a query inserts a column.  Both grow with the
+shapes asked for and are never emptied.
 """
 
 import operator
@@ -213,42 +215,53 @@ def evaluate(query):
 # ---------------------------------------------------------------------------
 # literal per-subset reference path (slow, used by tests and the benchmark)
 
-# (n, genus, root exponents) -> (e_0..e_k, D^(1-g)) of that root tuple
-_TERMS = {}
+# kept per process, in Q(zeta_n): (n, genus, root exponents) -> D^(1-g),
+# and (n, root exponents) -> e_0..e_k of those roots
+_D_POWERS = {}
+_ELEMENTARY = {}
 
 
 def reference_term(n, k, genus, columns, exponents):
     """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic.
 
-    The tuple's e_0..e_k and D^(1-g) do not depend on the monomial, so they
-    are computed once per process and kept in _TERMS; a call multiplies its
-    columns' e_j into the kept D^(1-g).
+    Neither factor depends on the monomial.  The tuple's D^(1-g) is kept in
+    _D_POWERS and, once a query inserts a column, its e_0..e_k in
+    _ELEMENTARY, so a call multiplies its columns' e_j into the kept D^(1-g).
     """
     exponents = tuple(exponents)
-    key = (n, genus, exponents)
-    got = _TERMS.get(key)
-    if got is None:
-        got = _TERMS[key] = _term_factors(n, genus, exponents)
-    ents, term = got
-    for j in columns:
-        term = term * ents[j]
+    term = _D_POWERS.get((n, genus, exponents))
+    if term is None:
+        term = _D_POWERS[(n, genus, exponents)] = _d_power(n, genus, exponents)
+    if columns:
+        ents = _ELEMENTARY.get((n, exponents))
+        if ents is None:
+            ents = _ELEMENTARY[(n, exponents)] = _elementary(n, exponents)
+        for j in columns:
+            term = term * ents[j]
     return term
 
 
-def _term_factors(n, genus, exponents):
-    """(e_0..e_k, D^(1-g)) for the roots zeta_n^c, c in exponents, with
+def _d_power(n, genus, exponents):
+    """D^(1-g) for the roots zeta_n^c, c in exponents, with
     D = prod(rho) * prod_{i != j}(rho_i - rho_j) over ordered pairs."""
     from itertools import permutations
 
     from .cyclotomic import zeta
+
+    if genus == 1:
+        return zeta(n, 0)  # D^0, the field's 1: the k^2 products of D would be wasted
+    roots = [zeta(n, c) for c in exponents]
+    d = prod(roots) * prod(a - b for a, b in permutations(roots, 2))
+    return d ** (1 - genus)
+
+
+def _elementary(n, exponents):
+    """e_0..e_k of the roots zeta_n^c, c in exponents, in one recurrence pass."""
+    from .cyclotomic import zeta
     from .symfunc import elementary_symmetrics
 
     roots = [zeta(n, c) for c in exponents]
-    ents = tuple(elementary_symmetrics(len(roots), roots))
-    if genus == 1:
-        return ents, zeta(n, 0)  # D^0, the field's 1: the k^2 products of D would be wasted
-    d = prod(roots) * prod(a - b for a, b in permutations(roots, 2))
-    return ents, d ** (1 - genus)
+    return tuple(elementary_symmetrics(len(roots), roots))
 
 
 def vi_reference(query):

@@ -1,6 +1,6 @@
 """The oracles' per-shape caches cannot be seen in their values.
 
-engine._TERMS keeps each root tuple's e_0..e_k and D^(1-g) per process, and
+engine keeps each root tuple's D^(1-g) and e_0..e_k per process, and
 each FusionAlgebra keeps its spectral characters and weights chi_t(H)^(g-1).
 Every value must be the same from a cold cache and a warm one, in any
 order of queries.
@@ -20,7 +20,8 @@ from vicalc.fusion import classes_for_query, correlator_via_spectrum
 @pytest.fixture
 def cold(monkeypatch):
     """Empty caches for the test, and the process's own back afterwards."""
-    monkeypatch.setattr(engine, "_TERMS", {})
+    monkeypatch.setattr(engine, "_D_POWERS", {})
+    monkeypatch.setattr(engine, "_ELEMENTARY", {})
     monkeypatch.setattr(fusion, "_ALGEBRAS", {})
 
 
@@ -64,13 +65,13 @@ def test_sweep_ranges_cold_and_warm_agree(cold, monkeypatch):
                  for q in spectral])
 
     first = values()
-    kept = len(engine._TERMS)
+    kept = len(engine._D_POWERS), len(engine._ELEMENTARY)
     inverses = count_inverses(monkeypatch)
     second = values()
     assert first == second
     assert first[0] == [vi_invariant(q).value for q in reference]
     # the warm pass found every subset and every spectral weight kept
-    assert len(engine._TERMS) == kept and inverses == []
+    assert (len(engine._D_POWERS), len(engine._ELEMENTARY)) == kept and inverses == []
 
 
 @pytest.mark.parametrize("order", [(0, 2), (2, 0)])
@@ -100,7 +101,8 @@ def test_permuted_tuples_cold_and_warm(cold):
             for g in (0, 1, 2):
                 columns = tuple(range(1, k + 1))
                 for subset in combinations(range(n), k):
-                    engine._TERMS.clear()
+                    engine._D_POWERS.clear()
+                    engine._ELEMENTARY.clear()
                     cold_terms = [reference_term(n, k, g, columns, perm)
                                   for perm in permutations(reversed(subset))]
                     rep = reference_term(n, k, g, columns, subset)
