@@ -64,12 +64,10 @@ kernel raises ArithmeticError (exit 4 on the command line) instead of
 returning a wrong value.  This is the multi-modular method (von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 5) with a single modulus.
 """
+from functools import cache
 from math import comb, gcd, prod
 
 SPARE_BITS = 64
-
-# (n, bits) -> (p, w); filling it twice is harmless
-_FIELDS = {}
 
 
 def backend_name():
@@ -100,24 +98,28 @@ def _phi_at(n, w):
 
 
 def field(n, k, genus, columns):
-    """(bits, p, w) for one query, shared by every rank range of its sum.
+    """(bits, p, w) for one query, shared by every rank range of its sum:
+    bits is term_bound_bits over all C(n, k) subsets, (p, w) _modulus's."""
+    bits = term_bound_bits(n, k, genus, columns, comb(n, k))
+    return (bits,) + _modulus(n, bits)
 
-    bits is term_bound_bits over all C(n, k) subsets and p = Phi_n(w).
+
+@cache
+def _modulus(n, bits):
+    """(p, w) with p = Phi_n(w) above 2^(bits + SPARE_BITS) and prime to n,
+    computed once per (n, bits) per process and never emptied.
+
     w starts at 1 + 2^ceil((bits + SPARE_BITS) / phi(n)), so p > (w -
     1)^phi(n) >= 2^(bits + SPARE_BITS), since |w - zeta| > w - 1 for every
     primitive n-th root zeta.  w is then raised by one until gcd(p, n) = 1.
     Of the primes dividing n only the largest, r, can divide Phi_n(w), and
     it does not when r | w, so that takes fewer than r steps.
     """
-    bits = term_bound_bits(n, k, genus, columns, comb(n, k))
-    got = _FIELDS.get((n, bits))
-    if got is None:
-        totient = sum(gcd(a, n) == 1 for a in range(n))
-        w = 1 + (1 << -(-(bits + SPARE_BITS) // totient))
-        while gcd(p := _phi_at(n, w), n) != 1:
-            w += 1
-        got = _FIELDS[(n, bits)] = (p, w)
-    return (bits,) + got
+    totient = sum(gcd(a, n) == 1 for a in range(n))
+    w = 1 + (1 << -(-(bits + SPARE_BITS) // totient))
+    while gcd(p := _phi_at(n, w), n) != 1:
+        w += 1
+    return p, w
 
 
 def _orbit_representatives(n, k, lo, hi):

@@ -267,11 +267,12 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
         n = self.order
-        adj = _make(n, *_rational(n, 1))
-        for j in range(2, n):
-            if gcd(j, n) == 1:
-                g = self.galois(j)
-                adj = adj._times(g.num, g.den)
+        conjugates = (self.galois(j) for j in range(2, n) if gcd(j, n) == 1)
+        adj = next(conjugates, None)
+        if adj is None:  # orders 1 and 2: Q(zeta_n) = Q has no other conjugate
+            adj = _make(n, *_rational(n, 1))
+        for g in conjugates:
+            adj = adj._times(g.num, g.den)
         inv = 1 / self._times(adj.num, adj.den).to_rational()
         return _reduced(n, [c * inv.numerator for c in adj.num], adj.den * inv.denominator)
 

@@ -46,15 +46,16 @@ wrong value.  A corrupted residue slips through with probability below
 vi_reference is the slow literal route: it still visits every k-subset
 and does its arithmetic in Q(zeta_n), with the ordered-pair product for D
 and the Galois-norm inverse for D^(1-g).  A subset's D^(1-g) and e_0..e_k
-do not depend on the monomial, so each is computed once per process and
-kept: D^(1-g) in _D_POWERS by (n, genus, root exponents), and e_0..e_k,
-which do not depend on the genus either, in _ELEMENTARY by (n, root
-exponents), the first time a query inserts a column.  Both grow with the
+do not depend on the monomial, so each is computed once per process by
+a functools.cache: _d_power keyed by (n, genus, root exponents), and
+_elementary by (n, root exponents), as the e_j do not depend on the
+genus; it runs only for a query with columns.  Both tables grow with the
 shapes asked for and are never emptied.
 """
 
 import operator
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 
 from . import backend
@@ -215,32 +216,19 @@ def evaluate(query):
 # ---------------------------------------------------------------------------
 # literal per-subset reference path (slow, used by tests and the benchmark)
 
-# kept per process, in Q(zeta_n): (n, genus, root exponents) -> D^(1-g),
-# and (n, root exponents) -> e_0..e_k of those roots
-_D_POWERS = {}
-_ELEMENTARY = {}
-
-
-def reference_term(n, k, genus, columns, exponents):
-    """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic.
-
-    Neither factor depends on the monomial.  The tuple's D^(1-g) is kept in
-    _D_POWERS and, once a query inserts a column, its e_0..e_k in
-    _ELEMENTARY, so a call multiplies its columns' e_j into the kept D^(1-g).
-    """
+def reference_term(n, genus, columns, exponents):
+    """Delta / D^(g-1) for one tuple of root exponents, by field arithmetic:
+    the columns' e_j multiplied into the tuple's kept D^(1-g)."""
     exponents = tuple(exponents)
-    term = _D_POWERS.get((n, genus, exponents))
-    if term is None:
-        term = _D_POWERS[(n, genus, exponents)] = _d_power(n, genus, exponents)
+    term = _d_power(n, genus, exponents)
     if columns:
-        ents = _ELEMENTARY.get((n, exponents))
-        if ents is None:
-            ents = _ELEMENTARY[(n, exponents)] = _elementary(n, exponents)
+        ents = _elementary(n, exponents)
         for j in columns:
             term = term * ents[j]
     return term
 
 
+@cache
 def _d_power(n, genus, exponents):
     """D^(1-g) for the roots zeta_n^c, c in exponents, with
     D = prod(rho) * prod_{i != j}(rho_i - rho_j) over ordered pairs."""
@@ -255,6 +243,7 @@ def _d_power(n, genus, exponents):
     return d ** (1 - genus)
 
 
+@cache
 def _elementary(n, exponents):
     """e_0..e_k of the roots zeta_n^c, c in exponents, in one recurrence pass."""
     from .cyclotomic import zeta
@@ -270,7 +259,7 @@ def vi_reference(query):
     from itertools import combinations
 
     n, k, genus = query.n, query.k, query.g
-    total = sum(reference_term(n, k, genus, query.columns, subset)
+    total = sum(reference_term(n, genus, query.columns, subset)
                 for subset in combinations(range(n), k))
     alpha = k * (genus - 1)
     value = Fraction(sign_factor(query.e, k)) * Fraction(query.n) ** alpha * total.to_rational()

@@ -4,7 +4,7 @@ This is the cross-check for the root-of-unity engine, built from nothing
 but Littlewood-Richardson numbers and rim-hook reduction: basis = the
 C(n, k) partitions in the k x (n-k) box, counit = coefficient of the
 full box, handle element sum_i sigma_i * sigma_i^dual, the pairing being
-Poincare duality, kept as the one permutation dual() and checked against
+Poincare duality, kept as the one permutation `dual` and checked against
 LR numbers over the box preimages.  A genus-g invariant is the counit of
 (product of insertions) * H^g, read through that permutation, with the
 powers H^g kept per algebra.
@@ -14,14 +14,17 @@ characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
 with each idempotent counit read off the handle element's character;
 tests hold the two routes equal.
 
-Each algebra is built once per process and kept in _ALGEBRAS, and keeps
-what its queries reuse: products, the pairing, the handle powers H^g and,
-for the spectral route, every point's characters and the weights
-chi_t(H)^(g-1) per genus.  All of it grows with the shapes and genera
+What the queries reuse is computed once per process, in the standard
+library's memo idioms: fusion_algebra and _spectral_weights are
+functools.cache tables keyed by (k, n) and (k, n, genus), an algebra's
+pairing `dual` and spectral `characters` are functools.cached_property
+values, and its products and handle powers H^g are kept in per-algebra
+memos keyed by argument.  All of it grows with the shapes and genera
 asked for and is never emptied.
 """
 
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .cyclotomic import zeta
@@ -35,14 +38,9 @@ from .symfunc import (
     rim_hook_reduce,
 )
 
-_ALGEBRAS = {}
-
-
+@cache
 def fusion_algebra(k, n):
-    key = (k, n)
-    if key not in _ALGEBRAS:
-        _ALGEBRAS[key] = FusionAlgebra(k, n)
-    return _ALGEBRAS[key]
+    return FusionAlgebra(k, n)
 
 
 class FusionAlgebra:
@@ -57,11 +55,7 @@ class FusionAlgebra:
         self.index = {p: i for i, p in enumerate(self.basis)}
         self.box_index = self.index[(self.cols,) * k]
         self._products = {}
-        self._dual = None
-        self._handle = None
         self._handle_powers = []
-        self._characters = None
-        self._spectral_weights = {}
 
     def class_index(self, parts):
         p = Partition(parts)
@@ -98,6 +92,7 @@ class FusionAlgebra:
     def counit(self, v):
         return v[self.box_index]
 
+    @cached_property
     def dual(self):
         """The pairing permutation: counit(sigma_i * sigma_j) = [j == dual[i]].
 
@@ -107,41 +102,38 @@ class FusionAlgebra:
         preimages and rim-hook signs, never from the products, and anything
         but a single 1 per row means wrong products: ArithmeticError.
         """
-        if self._dual is None:
-            k, n, top = self.k, self.n, self.k * self.cols
-            box = self.basis[self.box_index]
-            preimages = {m: box_preimages(k, n, m) for m in range(top // n + 1)}
-            dual = [None] * self.dim
-            for i, lam in enumerate(self.basis):
-                for j, mu in enumerate(self.basis[i:], i):
-                    strips, rem = divmod(sum(lam) + sum(mu) - top, n)
-                    if strips < 0 or rem:
-                        continue
-                    total = 0
-                    for nu in preimages[strips]:
-                        c = lr_coefficient(lam, mu, nu)
-                        if c:
-                            red = rim_hook_reduce(nu, k, n)
-                            if red is None or red[0] != box:
-                                raise ArithmeticError("pairing is not a permutation matrix")
-                            total += red[2] * c
-                    if total:
-                        # entry (i, j) is entry (j, i): each is the one entry of its row
-                        if total != 1 or dual[i] is not None or dual[j] is not None:
+        k, n, top = self.k, self.n, self.k * self.cols
+        box = self.basis[self.box_index]
+        preimages = {m: box_preimages(k, n, m) for m in range(top // n + 1)}
+        dual = [None] * self.dim
+        for i, lam in enumerate(self.basis):
+            for j, mu in enumerate(self.basis[i:], i):
+                strips, rem = divmod(sum(lam) + sum(mu) - top, n)
+                if strips < 0 or rem:
+                    continue
+                total = 0
+                for nu in preimages[strips]:
+                    c = lr_coefficient(lam, mu, nu)
+                    if c:
+                        red = rim_hook_reduce(nu, k, n)
+                        if red is None or red[0] != box:
                             raise ArithmeticError("pairing is not a permutation matrix")
-                        dual[i], dual[j] = j, i
-            if None in dual:
-                raise ArithmeticError("pairing is not a permutation matrix")
-            self._dual = dual
-        return self._dual
+                        total += red[2] * c
+                if total:
+                    # entry (i, j) is entry (j, i): each is the one entry of its row
+                    if total != 1 or dual[i] is not None or dual[j] is not None:
+                        raise ArithmeticError("pairing is not a permutation matrix")
+                    dual[i], dual[j] = j, i
+        if None in dual:
+            raise ArithmeticError("pairing is not a permutation matrix")
+        return dual
 
     def handle_element(self):
         """H = sum_i sigma_i * sigma_dual(i), as the pairing's inverse is its
-        transpose, the permutation dual() itself; one factor per genus."""
-        if self._handle is None:
-            terms = (self.product_vector(i, j) for i, j in enumerate(self.dual()))
-            self._handle = [sum(column) for column in zip(*terms)]
-        return self._handle
+        transpose, the permutation `dual` itself; one factor per genus.
+        handle_power keeps it as H^1."""
+        terms = (self.product_vector(i, j) for i, j in enumerate(self.dual))
+        return [sum(column) for column in zip(*terms)]
 
     def handle_power(self, genus):
         """H^genus for genus >= 1, each power multiplied out once per algebra."""
@@ -152,29 +144,20 @@ class FusionAlgebra:
             powers.append(self.multiply(powers[-1], powers[0]))
         return powers[genus - 1]
 
+    @cached_property
     def characters(self):
         """Per spectral point, (the basis characters s_lam(t), chi_t(H)), with
         H's character sum_lam s_lam(t) * s_lam^dual(t) and lam^dual the box
         complement; computed once per algebra."""
-        if self._characters is None:
-            k = self.k
-            dual = [self.class_index([self.cols - p.row(k - 1 - i) for i in range(k)])
-                    for p in self.basis]
-            out = []
-            for vals in _spectrum_points(k, self.n):
-                ents = elementary_symmetrics(k, vals)
-                chars = tuple(_schur_value(p, ents) for p in self.basis)
-                out.append((chars, sum(chars[i] * chars[j] for i, j in enumerate(dual))))
-            self._characters = tuple(out)
-        return self._characters
-
-    def spectral_weights(self, genus):
-        """chi_t(H)^(genus-1) per spectral point, kept per algebra and genus."""
-        got = self._spectral_weights.get(genus)
-        if got is None:
-            got = tuple(handle ** (genus - 1) for _, handle in self.characters())
-            self._spectral_weights[genus] = got
-        return got
+        k = self.k
+        dual = [self.class_index([self.cols - p.row(k - 1 - i) for i in range(k)])
+                for p in self.basis]
+        out = []
+        for vals in _spectrum_points(k, self.n):
+            ents = elementary_symmetrics(k, vals)
+            chars = tuple(_schur_value(p, ents) for p in self.basis)
+            out.append((chars, sum(chars[i] * chars[j] for i, j in enumerate(dual))))
+        return tuple(out)
 
     def correlator(self, classes, genus):
         """Genus-g correlator of the box classes, an exact Fraction: with v their
@@ -190,7 +173,7 @@ class FusionAlgebra:
         if not genus:
             return Fraction(self.counit(v))
         h = self.handle_power(genus)
-        return Fraction(sum(vi * h[j] for vi, j in zip(v, self.dual()) if vi))
+        return Fraction(sum(vi * h[j] for vi, j in zip(v, self.dual) if vi))
 
 
 def box_preimages(k, n, strips):
@@ -247,6 +230,12 @@ def _det(mat):
                for j, entry in enumerate(mat[0]))
 
 
+@cache
+def _spectral_weights(k, n, genus):
+    """chi_t(H)^(genus-1) per spectral point of Gr(k, n)."""
+    return tuple(handle ** (genus - 1) for _, handle in fusion_algebra(k, n).characters)
+
+
 def correlator_via_spectrum(classes, genus, k, n):
     """The same trace through the algebra characters.
 
@@ -256,13 +245,15 @@ def correlator_via_spectrum(classes, genus, k, n):
     genus-g trace is sum_t prod s_class(t) * chi_t(H)^(g-1); see Abrams,
     "Two-dimensional topological quantum field theories and Frobenius
     algebras", 1996.  The characters and the weights chi_t(H)^(g-1) are
-    kept on the algebra, so a call multiplies only its classes' characters
+    kept per process, so a call multiplies only its classes' characters
     into them.  Intended for small n (the tests use n <= 5).
     """
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
     alg = fusion_algebra(k, n)
     picked = [alg.class_index(parts) for parts in classes]
     total = 0
-    for (chars, _), val in zip(alg.characters(), alg.spectral_weights(genus)):
+    for (chars, _), val in zip(alg.characters, _spectral_weights(k, n, genus)):
         for i in picked:
             val = val * chars[i]
         total = total + val

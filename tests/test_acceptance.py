@@ -152,10 +152,10 @@ def test_tuple_sum_is_k_factorial_times_subset_sum():
                 q = queries[len(queries) // 2]
                 sig = q.columns
                 for subset in combinations(range(n), k):
-                    rep = reference_term(n, k, g, sig, subset)
+                    rep = reference_term(n, g, sig, subset)
                     tuple_total = None
                     for perm in permutations(subset):
-                        term = reference_term(n, k, g, sig, perm)
+                        term = reference_term(n, g, sig, perm)
                         tuple_total = term if tuple_total is None else tuple_total + term
                     assert tuple_total * Fraction(1, factorial(k)) == rep, (q, subset)
                 assert vi_reference(q).value == vi_invariant(q).value, q

@@ -132,6 +132,31 @@ def test_pow_matches_repeated_products_with_fewest_products(monkeypatch):
         assert len(products) == count, m
 
 
+def test_inverse_starts_from_the_first_conjugate(monkeypatch):
+    # adj is the product of the phi(n) - 1 conjugates other than x, so it
+    # takes phi(n) - 2 field products and the norm x * adj one more; orders
+    # 1 and 2 have no other conjugate and take only the norm's
+    rng = random.Random(2022)
+    products = []
+    times = CyclotomicNumber._times
+
+    def counted(self, b, bd):
+        products.append(b)
+        return times(self, b, bd)
+
+    monkeypatch.setattr(CyclotomicNumber, "_times", counted)
+    for n in (1, 2, 3, 4, 5, 7, 8, 12, 15):
+        x = random_nonzero(rng, n)
+        phi = len(cyclotomic_polynomial(n)) - 1
+        del products[:]
+        inv = x.inverse()
+        assert len(products) == max(phi - 1, 1), n
+        assert x * inv == 1 and inv * x == 1, n
+    del products[:]
+    (zeta(5) + 2).inverse()
+    assert len(products) == 3
+
+
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError, match="incompatible cyclotomic orders"):
         zeta(3) + zeta(4)

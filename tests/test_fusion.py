@@ -107,7 +107,7 @@ def walk_box_preimages(k, n, strips):
 
 
 def test_box_preimages_match_walk():
-    # n <= 12 with every strip count that dual() reads, k(n-k) // n at most,
+    # n <= 12 with every strip count that `dual` reads, k(n-k) // n at most,
     # and every strips <= k for n <= 9 (all of n <= 12 takes about a minute)
     cases = 0
     for n in range(2, 13):
@@ -123,11 +123,11 @@ def test_box_preimages_match_walk():
 
 
 def test_pairing_matches_products():
-    # dual() goes through box preimages and rim hooks; the product route
+    # `dual` goes through box preimages and rim hooks; the product route
     # goes through Littlewood-Richardson expansion.  Same pairing either way.
     for k, n in ((1, 4), (2, 4), (2, 5), (3, 5), (3, 6)):
         alg = fusion_algebra(k, n)
-        dual = alg.dual()
+        dual = alg.dual
         for i in range(alg.dim):
             for j in range(alg.dim):
                 assert alg.counit(alg.product_vector(i, j)) == (j == dual[i]), (k, n, i, j)
@@ -139,13 +139,13 @@ def test_pairing_complement_block():
         alg = fusion_algebra(k, n)
         complements = [Partition([alg.cols - lam.row(k - 1 - r) for r in range(k)])
                        for lam in alg.basis]
-        assert alg.dual() == [alg.index[c] for c in complements], (k, n)
+        assert alg.dual == [alg.index[c] for c in complements], (k, n)
 
 
 def test_pairing_inverse_is_inverse():
     # the pairing matrix from the products, inverted by transposing it: it is a
     # permutation, its transpose is its inverse, and the handle element summed
-    # over that inverse is the one handle_element builds from dual()
+    # over that inverse is the one handle_element builds from `dual`
     for k, n in ((2, 4), (2, 5), (3, 6)):
         alg = fusion_algebra(k, n)
         dim = alg.dim
@@ -154,8 +154,8 @@ def test_pairing_inverse_is_inverse():
         for i in range(dim):
             for j in range(dim):
                 assert sum(mat[i][t] * inv[t][j] for t in range(dim)) == (i == j)
-        assert sorted(alg.dual()) == list(range(dim))
-        assert all(alg.dual()[j] == i for i, j in enumerate(alg.dual()))
+        assert sorted(alg.dual) == list(range(dim))
+        assert all(alg.dual[j] == i for i, j in enumerate(alg.dual))
         handle = [0] * dim
         for i in range(dim):
             for j in range(dim):
@@ -167,7 +167,7 @@ def test_pairing_inverse_is_inverse():
 
 def test_pairing_inverse_refuses_non_permutation(monkeypatch):
     # each bad pairing is injected through the LR numbers or rim hooks that
-    # dual() reads; the products come from quantum_product and stay sound
+    # `dual` reads; the products come from quantum_product and stay sound
     empty = Partition(())
     lr, rim = lr_coefficient, rim_hook_reduce
     bad = {
@@ -187,16 +187,16 @@ def test_pairing_inverse_refuses_non_permutation(monkeypatch):
         monkeypatch.setattr(fusion, attr, fake)
         alg = FusionAlgebra(2, 4)
         with pytest.raises(ArithmeticError, match="permutation"):
-            alg.dual()
-        assert alg._dual is None, name
+            alg.dual
+        assert "dual" not in vars(alg), name
         # the handle element and every genus >= 1 correlator read the dual
         # only after the check passes
         alg = FusionAlgebra(2, 4)
         with pytest.raises(ArithmeticError, match="permutation"):
             alg.correlator([], 1)
-        assert alg._dual is None and alg._handle is None and alg._handle_powers == [], name
+        assert "dual" not in vars(alg) and alg._handle_powers == [], name
         monkeypatch.undo()
-    assert FusionAlgebra(2, 4).dual() == fusion_algebra(2, 4).dual()
+    assert FusionAlgebra(2, 4).dual == fusion_algebra(2, 4).dual
 
 
 def test_correlator_matches_genus_loop():
@@ -237,8 +237,11 @@ def test_genus_zero_examples():
 
 
 def test_negative_genus_rejected():
-    with pytest.raises(ValueError):
-        correlator_genus_g([], -1, 2, 4)
+    # the spectral route refuses g < 0 as the handle route does, instead of
+    # summing chi_t(H)^(g-1) at a negative power
+    for route in (correlator_genus_g, correlator_via_spectrum):
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            route([], -1, 2, 4)
 
 
 def test_spectral_route_matches_handle_route():

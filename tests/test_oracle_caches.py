@@ -1,9 +1,9 @@
-"""The oracles' per-shape caches cannot be seen in their values.
+"""The per-process tables cannot be seen in their values.
 
-engine keeps each root tuple's D^(1-g) and e_0..e_k per process, and
-each FusionAlgebra keeps its spectral characters and weights chi_t(H)^(g-1).
-Every value must be the same from a cold cache and a warm one, in any
-order of queries.
+backend keeps each (n, bits)'s modulus, engine each root tuple's D^(1-g)
+and e_0..e_k, and fusion each algebra and its spectral weights
+chi_t(H)^(g-1), all as functools.cache tables.  Every value must be the
+same from a cold table and a warm one, in any order of queries.
 """
 
 from fractions import Fraction
@@ -12,17 +12,24 @@ from math import factorial
 
 import pytest
 
-from vicalc import cyclotomic, engine, fusion
+from vicalc import backend, cyclotomic, engine, fusion
 from vicalc.engine import InvariantQuery, reference_term, vi_invariant, vi_reference
 from vicalc.fusion import classes_for_query, correlator_via_spectrum
 
 
+TABLES = (backend._modulus, engine._d_power, engine._elementary,
+          fusion.fusion_algebra, fusion._spectral_weights)
+
+
 @pytest.fixture
-def cold(monkeypatch):
-    """Empty caches for the test, and the process's own back afterwards."""
-    monkeypatch.setattr(engine, "_D_POWERS", {})
-    monkeypatch.setattr(engine, "_ELEMENTARY", {})
-    monkeypatch.setattr(fusion, "_ALGEBRAS", {})
+def cold():
+    """Every per-process table emptied before the test."""
+    for table in TABLES:
+        table.cache_clear()
+
+
+def table_sizes():
+    return [table.cache_info().currsize for table in TABLES]
 
 
 def sweep_range(max_n, max_g):
@@ -65,13 +72,13 @@ def test_sweep_ranges_cold_and_warm_agree(cold, monkeypatch):
                  for q in spectral])
 
     first = values()
-    kept = len(engine._D_POWERS), len(engine._ELEMENTARY)
+    kept = table_sizes()
     inverses = count_inverses(monkeypatch)
     second = values()
+    # the warm pass found every subset and every spectral weight kept
+    assert table_sizes() == kept and inverses == []
     assert first == second
     assert first[0] == [vi_invariant(q).value for q in reference]
-    # the warm pass found every subset and every spectral weight kept
-    assert (len(engine._D_POWERS), len(engine._ELEMENTARY)) == kept and inverses == []
 
 
 @pytest.mark.parametrize("order", [(0, 2), (2, 0)])
@@ -88,7 +95,7 @@ def test_genus_is_part_of_the_key(cold, order):
         assert (correlator_via_spectrum(classes, g, 2, 4)
                 == fusion.fusion_algebra(2, 4).correlator(classes, g)), g
     for subset in combinations(range(4), 2):
-        terms = [reference_term(4, 2, g, (), subset) for g in (0, 1, 2)]
+        terms = [reference_term(4, g, (), subset) for g in (0, 1, 2)]
         assert len(set(terms)) == 3, subset
 
 
@@ -101,12 +108,31 @@ def test_permuted_tuples_cold_and_warm(cold):
             for g in (0, 1, 2):
                 columns = tuple(range(1, k + 1))
                 for subset in combinations(range(n), k):
-                    engine._D_POWERS.clear()
-                    engine._ELEMENTARY.clear()
-                    cold_terms = [reference_term(n, k, g, columns, perm)
+                    engine._d_power.cache_clear()
+                    engine._elementary.cache_clear()
+                    cold_terms = [reference_term(n, g, columns, perm)
                                   for perm in permutations(reversed(subset))]
-                    rep = reference_term(n, k, g, columns, subset)
-                    warm_terms = [reference_term(n, k, g, columns, list(perm))
+                    rep = reference_term(n, g, columns, subset)
+                    warm_terms = [reference_term(n, g, columns, list(perm))
                                   for perm in permutations(subset)]
                     assert set(cold_terms) == set(warm_terms) == {rep}, (n, k, g, subset)
                     assert sum(warm_terms) * Fraction(1, factorial(k)) == rep
+
+
+def test_field_modulus_cold_and_warm(cold, monkeypatch):
+    # (bits, p, w) is the same from a cold table and a warm one, and a warm
+    # call finds (p, w) kept: it evaluates no Phi_n(w)
+    shapes = [(n, k, g, columns) for n in range(2, 13) for k in (1, n // 2)
+              for g in (0, 1, 3) for columns in ((), (k,) * n)]
+    first = [backend.field(*shape) for shape in shapes]
+    calls = []
+    phi_at = backend._phi_at
+
+    def counted(n, w):
+        calls.append((n, w))
+        return phi_at(n, w)
+
+    monkeypatch.setattr(backend, "_phi_at", counted)
+    assert [backend.field(*shape) for shape in shapes] == first and calls == []
+    backend._modulus.cache_clear()
+    assert [backend.field(*shape) for shape in shapes] == first and calls

@@ -220,9 +220,9 @@ def test_subset_sum_equals_tuple_sum_term_exact():
                 subset_total = None
                 tuple_total = None
                 for subset in combinations(range(n), k):
-                    rep = reference_term(n, k, g, sig, subset)
+                    rep = reference_term(n, g, sig, subset)
                     for perm in permutations(subset):
-                        term = reference_term(n, k, g, sig, perm)
+                        term = reference_term(n, g, sig, perm)
                         assert term == rep, (q, subset, perm)
                         tuple_total = term if tuple_total is None else tuple_total + term
                     subset_total = rep if subset_total is None else subset_total + rep
