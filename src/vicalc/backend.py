@@ -88,13 +88,13 @@ def term_bound_bits(n, k, genus, columns, count):
 
 
 def _phi_at(n, w):
-    """Phi_n(w) for an integer w > 1: w^n - 1 divided exactly by Phi_d(w)
-    for each proper divisor d of n."""
-    value = w ** n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            value //= _phi_at(d, w)
-    return value
+    """Phi_n(w) for an integer w > 1, from w^d - 1 = prod_{e | d} Phi_e(w):
+    Phi_d(w) is computed once per divisor d of n, in increasing d."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    phi = {}
+    for d in divisors:
+        phi[d] = (w ** d - 1) // prod(phi[e] for e in divisors if e < d and d % e == 0)
+    return phi[n]
 
 
 def field(n, k, genus, columns):

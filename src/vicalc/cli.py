@@ -17,6 +17,11 @@ something the computation broke, e.g. a subset sum outside its L1
 bound).  A batch reports each refused line and exits with the first
 nonzero code.
 
+List options (--monomial, --lhs, --rhs, --exponents, --weights, and each
+--point) share one grammar, read by _list: entries are separated by
+commas, whitespace around an entry is ignored, "" is the empty list, and
+an empty entry (",", "1,,1", a trailing comma, a blank) is a ValueError.
+
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips, and they print at any
 size.  A batch file holds one JSON job per line, run in input order; a
@@ -51,13 +56,16 @@ from .engine import (
 # ---------------------------------------------------------------------------
 # small parsing and formatting helpers
 
-def _int_list(text):
+def _list(text, read):
+    """The entries of a comma list, each read with read: "" (or None, an
+    option not given) is the empty list, whitespace around an entry is
+    ignored, and an empty entry is a ValueError."""
     if not text:
         return []
-    try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError("expected integers, got %r" % (text,))
+    entries = [entry.strip() for entry in text.split(",")]
+    if "" in entries:
+        raise ValueError("empty entry in the list %r" % (text,))
+    return [read(entry) for entry in entries]
 
 
 def _fraction(text):
@@ -67,10 +75,12 @@ def _fraction(text):
         raise ValueError("expected a rational like 1/2, got %r" % (text,))
 
 
-def _fraction_list(text):
-    if not text:
-        return []
-    return [_fraction(tok) for tok in text.replace(",", " ").split()]
+def _flag(text):
+    """A marked point's weight:multiplicity entry."""
+    weight, colon, mult = text.partition(":")
+    if not colon:
+        raise ValueError("marked point entry %r is not weight:multiplicity" % (text,))
+    return _fraction(weight), int(mult)
 
 
 def worker_count(text):
@@ -175,7 +185,7 @@ def _query_record(ns, n, k, g, e, d, monomial, convention, result):
 def _run_vi(ns):
     query = InvariantQuery(
         n=ns.n, k=ns.k, g=ns.g, e=ns.e, d=ns.d,
-        monomial=_int_list(ns.monomial), convention=ns.convention,
+        monomial=_list(ns.monomial, int), convention=ns.convention,
     )
     return _query_record(
         ns, query.n, query.k, query.g, query.e, query.d,
@@ -195,7 +205,7 @@ def _run_qh_table(ns):
     if (ns.lhs is None) != (ns.rhs is None):
         raise ValueError("--lhs and --rhs must be given together")
     if ns.lhs is not None:
-        pairs = [(Partition(_int_list(ns.lhs)), Partition(_int_list(ns.rhs)))]
+        pairs = [(Partition(_list(ns.lhs, int)), Partition(_list(ns.rhs, int)))]
     else:
         basis = partitions_in_box(ns.k, ns.n - ns.k)
         pairs = [
@@ -240,28 +250,15 @@ def _run_qh_table(ns):
     return "\n".join(lines) + "\n"
 
 
-def _parse_point(spec):
-    weights, mults = [], []
-    for entry in spec.split(","):
-        bits = entry.split(":")
-        if len(bits) != 2:
-            raise ValueError("marked point entry %r is not weight:multiplicity" % (entry,))
-        weights.append(_fraction(bits[0]))
-        try:
-            mults.append(int(bits[1]))
-        except ValueError:
-            raise ValueError("multiplicity %r is not an integer" % (bits[1],))
-    return weights, mults
-
-
 def _run_parabolic_degree(ns):
     from .parabolic import MarkedPoint, ParabolicData, parabolic_degree
 
-    points = [_parse_point(spec) for spec in ns.point or []]
+    points = [_list(spec, _flag) for spec in ns.point]
     data = ParabolicData(
         rank=ns.rank,
         degree=ns.degree,
-        points=tuple(MarkedPoint(w, m) for w, m in points),
+        points=tuple(MarkedPoint(tuple(w for w, _ in flags), tuple(m for _, m in flags))
+                     for flags in points),
     )
     rendered_points = "|".join(
         ";".join("%s:%d" % (w, m) for w, m in zip(p.weights, p.multiplicities))
@@ -278,12 +275,10 @@ def _run_s_invariant(ns):
 
     if ns.weights is not None and ns.exponents is not None:
         raise ValueError("give --weights or --exponents, not both")
-    if ns.exponents is not None and not ns.group_order:
-        raise ValueError("--exponents requires --group-order")
     if ns.exponents is not None:
-        weights = weights_from_equivariant(ns.group_order, _int_list(ns.exponents))
+        weights = weights_from_equivariant(ns.group_order, _list(ns.exponents, int))
     else:
-        weights = _fraction_list(ns.weights)
+        weights = _list(ns.weights, _fraction)
     value = s_invariant(ns.n, ns.k, ns.g, ns.eps, ns.group_order, weights)
     return _record(ns, [
         ("n", ns.n), ("k", ns.k), ("g", ns.g), ("eps", ns.eps),

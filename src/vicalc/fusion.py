@@ -4,10 +4,10 @@ This is the cross-check for the root-of-unity engine, built from nothing
 but Littlewood-Richardson numbers and rim-hook reduction: basis = the
 C(n, k) partitions in the k x (n-k) box, counit = coefficient of the
 full box, handle element sum_i sigma_i * sigma_i^dual, the pairing being
-Poincare duality, kept as the one permutation `dual` and checked against
-LR numbers over the box preimages.  A genus-g invariant is the counit of
-(product of insertions) * H^g, read through that permutation, with the
-powers H^g kept per algebra.
+Poincare duality, kept as the one permutation `dual`, the box complement,
+and checked against LR numbers over the box preimages.  A genus-g
+invariant is the counit of (product of insertions) * H^g, read through
+that permutation, with the powers H^g kept per algebra.
 
 A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
@@ -94,18 +94,20 @@ class FusionAlgebra:
 
     @cached_property
     def dual(self):
-        """The pairing permutation: counit(sigma_i * sigma_j) = [j == dual[i]].
+        """The pairing permutation: counit(sigma_i * sigma_j) = [j == dual[i]],
+        dual[i] the box complement of basis[i].
 
         The pairing at q = 1 is the 3-point invariant <sigma_i, sigma_j, 1>,
         which the fundamental-class axiom kills in positive degree: Poincare
-        duality.  Each entry j >= i comes from LR numbers over the box
-        preimages and rim-hook signs, never from the products, and anything
-        but a single 1 per row means wrong products: ArithmeticError.
+        duality.  Each entry j >= i of degree k(n-k) mod n is checked against
+        LR numbers over the box preimages and rim-hook signs, never against
+        the products, and a mismatch means wrong products: ArithmeticError.
         """
         k, n, top = self.k, self.n, self.k * self.cols
         box = self.basis[self.box_index]
         preimages = {m: box_preimages(k, n, m) for m in range(top // n + 1)}
-        dual = [None] * self.dim
+        dual = [self.index[Partition(self.cols - lam.row(k - 1 - r) for r in range(k))]
+                for lam in self.basis]
         for i, lam in enumerate(self.basis):
             for j, mu in enumerate(self.basis[i:], i):
                 strips, rem = divmod(sum(lam) + sum(mu) - top, n)
@@ -119,13 +121,8 @@ class FusionAlgebra:
                         if red is None or red[0] != box:
                             raise ArithmeticError("pairing is not a permutation matrix")
                         total += red[2] * c
-                if total:
-                    # entry (i, j) is entry (j, i): each is the one entry of its row
-                    if total != 1 or dual[i] is not None or dual[j] is not None:
-                        raise ArithmeticError("pairing is not a permutation matrix")
-                    dual[i], dual[j] = j, i
-        if None in dual:
-            raise ArithmeticError("pairing is not a permutation matrix")
+                if total != (j == dual[i]):
+                    raise ArithmeticError("pairing is not a permutation matrix")
         return dual
 
     def handle_element(self):
@@ -147,16 +144,13 @@ class FusionAlgebra:
     @cached_property
     def characters(self):
         """Per spectral point, (the basis characters s_lam(t), chi_t(H)), with
-        H's character sum_lam s_lam(t) * s_lam^dual(t) and lam^dual the box
-        complement; computed once per algebra."""
-        k = self.k
-        dual = [self.class_index([self.cols - p.row(k - 1 - i) for i in range(k)])
-                for p in self.basis]
+        H's character sum_lam s_lam(t) * s_lam^dual(t); computed once per
+        algebra."""
         out = []
-        for vals in _spectrum_points(k, self.n):
-            ents = elementary_symmetrics(k, vals)
+        for vals in _spectrum_points(self.k, self.n):
+            ents = elementary_symmetrics(self.k, vals)
             chars = tuple(_schur_value(p, ents) for p in self.basis)
-            out.append((chars, sum(chars[i] * chars[j] for i, j in enumerate(dual))))
+            out.append((chars, sum(chars[i] * chars[j] for i, j in enumerate(self.dual))))
         return tuple(out)
 
     def correlator(self, classes, genus):

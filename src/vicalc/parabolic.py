@@ -12,10 +12,14 @@ from fractions import Fraction
 
 
 def _weight(w):
-    """An int, Fraction or string like "1/2" as an exact Fraction; no float."""
+    """An int, Fraction or string like "1/2" as an exact Fraction in [0, 1);
+    no float."""
     if isinstance(w, float):
         raise TypeError("weights must be exact rationals, not float: %r" % (w,))
-    return Fraction(w)
+    w = Fraction(w)
+    if not 0 <= w < 1:
+        raise ValueError("weight %s outside [0, 1)" % (w,))
+    return w
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,6 @@ class MarkedPoint:
         object.__setattr__(self, "multiplicities", ks)
         if len(ws) != len(ks):
             raise ValueError("weights and multiplicities differ in length")
-        for w in ws:
-            if not 0 <= w < 1:
-                raise ValueError("weight %s outside [0, 1)" % (w,))
         for a, b in zip(ws, ws[1:]):
             if a >= b:
                 raise ValueError("weights must be strictly increasing")
@@ -99,9 +100,6 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
     weights = [_weight(w) for w in weights]
     if weights and not group_order:
         raise ValueError("weights require a positive group order")
-    for w in weights:
-        if not 0 <= w < 1:
-            raise ValueError("weight %s outside [0, 1)" % (w,))
     total = Fraction(k * (n - k) * (g - 1) + eps)
     if group_order:
         total += group_order * sum(weights)
@@ -109,7 +107,10 @@ def s_invariant(n, k, g, eps, group_order=0, weights=()):
 
 
 def weights_from_equivariant(group_order, exponents):
-    """Parabolic weights exponent/N from equivariant exponents in [0, N)."""
+    """Parabolic weights exponent/N from equivariant exponents in [0, N),
+    for a group order N >= 1."""
+    if group_order < 1:
+        raise ValueError("exponents require a positive group order, got %d" % (group_order,))
     out = []
     for ex in exponents:
         if not 0 <= ex < group_order:

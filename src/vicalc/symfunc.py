@@ -27,6 +27,7 @@ oracles hand it roots of unity without this module importing the field.
 """
 
 import operator
+from itertools import combinations_with_replacement
 
 
 class Partition(tuple):
@@ -62,18 +63,10 @@ class Partition(tuple):
 
 
 def partitions_in_box(rows, cols):
-    """All partitions fitting in rows x cols, by size then lexicographically."""
-    out = []
-
-    def rec(prefix, maxpart):
-        out.append(Partition(prefix))
-        if len(prefix) < rows:
-            for p in range(1, maxpart + 1):
-                rec(prefix + [p], p)
-
-    rec([], cols)
-    out.sort(key=lambda p: (sum(p), p))
-    return out
+    """All partitions fitting in rows x cols, by size then lexicographically;
+    a box with a negative side holds only the empty partition."""
+    parts = combinations_with_replacement(range(max(cols, 0), -1, -1), max(rows, 0))
+    return sorted(map(Partition, parts), key=lambda p: (sum(p), p))
 
 
 def elementary_symmetrics(j, values):

@@ -664,6 +664,51 @@ def test_options_are_not_abbreviated():
     assert run("count-max", "--n", "3", "--d", "1", "--k", "2", "--g", "2", "--he")[:2] == (2, "")
 
 
+def test_list_grammar_fixed_cases(tmp_path):
+    vi = ("vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0")
+    s_inv = ("s-invariant", "--n", "4", "--k", "2", "--g", "1", "--eps", "2", "--group-order", "2")
+    point = ("parabolic-degree", "--rank", "2", "--degree", "0", "--point")
+    # "" is the empty list, and whitespace around an entry is ignored
+    assert run(*vi, "--monomial", "") == run(*vi)
+    assert run(*s_inv, "--weights", "") == run(*s_inv)
+    assert run("qh-table", "--k", "2", "--n", "4", "--lhs", "", "--rhs", " 1 ") == \
+        (0, "s[] * s[1] = s[1]\n", "")
+    assert run(*point, " 1/4:1 , 3/4 : 1") == run(*point, "1/4:1,3/4:1")
+    # an empty entry, or entries split by whitespace alone, exit 2 with nothing on stdout;
+    # a marked point given as "" has no flag, so its multiplicities miss the rank
+    refused = [
+        vi + ("--monomial", ","), vi + ("--monomial", "1,,1"), vi + ("--monomial", "1 1"),
+        vi + ("--monomial", " "), ("qh-table", "--k", "2", "--n", "4", "--lhs", ",", "--rhs", "1"),
+        s_inv + ("--weights", ",1/2,"), s_inv + ("--exponents", "1,"),
+        point + ("1/4:1,,3/4:1",), point + ("",),
+    ]
+    for argv in refused:
+        assert run(*argv)[:2] == (2, ""), argv
+    assert "empty entry" in run(*vi, "--monomial", ",")[2]
+    # --exponents without a group order: the refusal is weights_from_equivariant's
+    code, out, err = run(*s_inv[:-2], "--exponents", "1")
+    assert (code, out, err) == \
+        (2, "", "vicalc: error: exponents require a positive group order, got 0\n")
+    # as batch lines: each refused, the good lines around them still run
+    good = json.dumps({"subcommand": "vi", "output_format": "json",
+                       "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}})
+    bad = [{"subcommand": "vi", "parameters": {"n": 4, "k": 2, "g": 1, "e": 0, "monomial": m}}
+           for m in (",", "1,,1")]
+    bad += [{"subcommand": "qh-table", "parameters": {"k": 2, "n": 4, "lhs": ",", "rhs": "1"}},
+            {"subcommand": "s-invariant", "parameters": {"n": 4, "k": 2, "g": 1, "eps": 2,
+                                                         "group_order": 2, "weights": ",1/2,"}},
+            {"subcommand": "s-invariant", "parameters": {"n": 4, "k": 2, "g": 1, "eps": 2,
+                                                         "group_order": 2, "exponents": "1,"}},
+            {"subcommand": "parabolic-degree", "parameters": {"rank": 2, "degree": 0,
+                                                              "point": [""]}}]
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join([good] + [json.dumps(job) for job in bad] + [good]) + "\n")
+    code, out, err = run("batch", str(path))
+    assert (code, out) == (2, '{"value":"6","integral":true}\n' * 2)
+    assert [line.split(":")[0] for line in err.splitlines()] == \
+        ["batch line %d" % i for i in range(2, 2 + len(bad))]
+
+
 def test_main_streams_and_code(capsys):
     code = main(["vi", "--n", "4", "--k", "2", "--g", "1", "--e", "0",
                  "--format", "json"])

@@ -109,4 +109,8 @@ def test_weights_from_equivariant():
         weights_from_equivariant(3, [3])
     with pytest.raises(ValueError, match="outside"):
         weights_from_equivariant(3, [-1])
+    # exponents need a group order N >= 1, with or without exponents to convert
+    for order, exponents in ((0, []), (0, [0]), (-2, [1])):
+        with pytest.raises(ValueError, match="positive group order"):
+            weights_from_equivariant(order, exponents)
 

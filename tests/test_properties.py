@@ -1,12 +1,15 @@
 """Property tests: random admissible queries held against the fusion oracle,
-and random batch files held against the same jobs run one by one.
+random batch files held against the same jobs run one by one, and random
+comma lists held to the command line's list grammar.
 
 The exhaustive sweeps in test_acceptance.py stop at n = 6; the oracle
 test draws from 7 <= n <= 9, where the kernel visits only the subsets
 containing 0.
 """
 
+import csv
 import json
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -15,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vicalc.cli import _execute  # noqa: E402
+from vicalc.cli import _execute, _fraction, _list  # noqa: E402
 from vicalc.engine import (  # noqa: E402
     CONVENTIONS,
     InvariantQuery,
@@ -109,3 +112,70 @@ def test_a_batch_line_behaves_like_its_command_line(tmp_path_factory, jobs):
     assert code == next((line_code for line_code, _, _ in alone if line_code), 0)
     assert err == "".join("batch line %d: %s" % (i, line_err)
                           for i, (_, _, line_err) in enumerate(alone, start=1) if line_err)
+
+
+# ---------------------------------------------------------------------------
+# the list grammar of --monomial, --lhs, --rhs, --exponents, --weights and --point
+
+blank = st.sampled_from(("", " ", "\t "))
+weights = st.fractions(0, 1, max_denominator=60).filter(lambda w: w < 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(st.tuples(st.lists(st.integers(-10 ** 30, 10 ** 30)), st.just(int)),
+                 st.tuples(st.lists(st.fractions()), st.just(_fraction))),
+       blank, blank)
+def test_a_joined_list_parses_back_to_itself(case, before, after):
+    values, read = case
+    text = ",".join(before + str(v) + after for v in values)
+    assert _list(text, read) == values
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(weights, max_size=5))
+def test_weights_round_trip_through_the_command_line(ws):
+    code, out, err = _execute(["s-invariant", "--n", "4", "--k", "2", "--g", "1", "--eps", "2",
+                               "--group-order", "3", "--weights", ",".join(map(str, ws)),
+                               "--format", "csv"])
+    assert (code, err) == (0, "")
+    row = dict(zip(*csv.reader(out.splitlines())))
+    assert row["weights"] == ";".join(map(str, ws))
+    assert Fraction(row["value"]) == 2 + 3 * sum(ws)
+
+
+# (subcommand, its other parameters, the list option, one valid-looking entry)
+LIST_OPTIONS = [
+    ("vi", {"n": 4, "k": 2, "g": 1, "e": 0}, "monomial", st.integers(1, 2).map(str)),
+    ("qh-table", {"k": 2, "n": 4, "rhs": "1"}, "lhs", st.integers(0, 2).map(str)),
+    ("qh-table", {"k": 2, "n": 4, "lhs": "1"}, "rhs", st.integers(0, 2).map(str)),
+    ("s-invariant", {"n": 4, "k": 2, "g": 1, "eps": 2, "group_order": 3}, "exponents",
+     st.integers(0, 2).map(str)),
+    ("s-invariant", {"n": 4, "k": 2, "g": 1, "eps": 2, "group_order": 3}, "weights",
+     weights.map(str)),
+    ("parabolic-degree", {"rank": 2, "degree": 0}, "point",
+     st.builds("{}:{}".format, weights, st.integers(1, 2))),
+]
+GOOD_JOB = {"subcommand": "vi", "output_format": "json",
+            "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(LIST_OPTIONS).flatmap(lambda case: st.tuples(
+    st.just(case), st.lists(case[3], min_size=1, max_size=4), st.integers(0, 4), blank)))
+def test_an_empty_entry_is_refused_on_the_line_and_in_a_batch(tmp_path_factory, drawn):
+    (sub, params, option, _), entries, at, empty = drawn
+    entries.insert(at, empty)
+    text = ",".join(entries)
+    argv = [sub]
+    for key, value in params.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    code, out, err = _execute(argv + ["--" + option, text])
+    assert (code, out) == (2, "") and "empty entry" in err, text
+    # a job's "point" is a list, one --point per item; the other lists are strings
+    job = {"subcommand": sub,
+           "parameters": dict(params, **{option: [text] if option == "point" else text})}
+    path = tmp_path_factory.mktemp("batch") / "jobs.ndjson"
+    path.write_text("".join(json.dumps(j) + "\n" for j in (GOOD_JOB, job, GOOD_JOB)))
+    code, out, err = _execute(["batch", str(path)])
+    assert (code, out) == (2, '{"value":"6","integral":true}\n' * 2)
+    assert err.startswith("batch line 2: vicalc: error: empty entry") and err.count("\n") == 1

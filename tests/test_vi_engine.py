@@ -347,6 +347,34 @@ def test_half_rank_values_are_recorded():
             == 784986259865280)
 
 
+def test_phi_at_forms_each_divisor_once():
+    # n = 55,440 = 2^4 * 3^2 * 5 * 7 * 11 has 120 divisors: Phi_n(w) takes one
+    # power w^d per divisor d, not one per chain of divisors
+    n, w = 55440, 3
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert len(divisors) == 120
+    powers = []
+
+    class Counted(int):
+        def __pow__(self, d):
+            powers.append(d)
+            return int(self) ** d
+
+    value = backend._phi_at(n, Counted(w))
+    assert sorted(powers) == divisors
+    # Phi_n(w) = prod over d | n with n/d squarefree of (w^d - 1)^mu(n/d)
+    num = den = 1
+    for d in divisors:
+        m = n // d
+        primes = [q for q in (2, 3, 5, 7, 11) if m % q == 0]
+        if all(m % (q * q) for q in primes):
+            if len(primes) % 2:
+                den *= w ** d - 1
+            else:
+                num *= w ** d - 1
+    assert value * den == num
+
+
 def test_field_root_is_a_root_of_the_cyclotomic_polynomial():
     # field() evaluates Phi_n by its own divisor recursion; hold p to Phi_n(w)
     # by Horner over the oracle's coefficients, above the bound, prime to n,
