@@ -90,10 +90,10 @@ def term_bound_bits(n, k, genus, columns, count):
 def _phi_at(n, w):
     """Phi_n(w) for an integer w > 1, from w^d - 1 = prod_{e | d} Phi_e(w):
     Phi_d(w) is computed once per divisor d of n, in increasing d."""
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    phi = {}
-    for d in divisors:
-        phi[d] = (w ** d - 1) // prod(phi[e] for e in divisors if e < d and d % e == 0)
+    phi = {}  # Phi_e(w) for the divisors e of n below d
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi[d] = (w ** d - 1) // prod(v for e, v in phi.items() if d % e == 0)
     return phi[n]
 
 
