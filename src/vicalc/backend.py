@@ -50,8 +50,8 @@ the kernel.
 
 The full sum is a rational integer of absolute value below
 2^term_bound_bits, so its symmetric residue mod p is the integer
-itself; the caller lifts it, checks it against the bound, and applies
-the sign and the genus-0 division by n^k.
+itself; the kernel lifts it and checks it against the bound, and the
+caller applies the sign and the genus-0 division by n^k.
 
 p need not be prime.  Let r be a prime factor of p.  Since gcd(p, n) = 1,
 r does not divide n, so x^n - 1 has no repeated root mod r and the roots
@@ -98,8 +98,8 @@ def _phi_at(n, w):
 
 
 def field(n, k, genus, columns):
-    """(bits, p, w) for one query, shared by every rank range of its sum:
-    bits is term_bound_bits over all C(n, k) subsets, (p, w) _modulus's."""
+    """(bits, p, w) for one query: bits is term_bound_bits over all
+    C(n, k) subsets, (p, w) _modulus's."""
     bits = term_bound_bits(n, k, genus, columns, comb(n, k))
     return (bits,) + _modulus(n, bits)
 
@@ -122,30 +122,24 @@ def _modulus(n, bits):
     return p, w
 
 
-def _orbit_representatives(n, k, lo, hi):
+def _orbit_representatives(n, k):
     """(subset, orbit_size) for each necklace among the subsets {0} + T,
-    T over the lex ranks [lo, hi) of combinations(range(1, n), k - 1),
-    in rank order.
+    T over combinations(range(1, n), k - 1), in lex order.
 
     The gap words are generated directly by the FKM prenecklace recursion,
     run without recursion: position t holds gap t, tail[t] is the element
-    it ends at, period[t] is the smallest period of gaps[1..t] and rank[t]
-    is the first rank of the tails that start with tail[1..t].  Those
-    tails are C(n-1-tail[t], k-1-t) consecutive ranks, so a prefix whose
-    block misses [lo, hi) is skipped whole, and one whose remaining sum
-    cannot hold k-t gaps as large as the first is not extended.  Each
-    rotation orbit of k-subsets of range(n) has exactly one necklace, so
-    the orbit sizes over the whole rank range sum to C(n, k).
+    it ends at and period[t] is the smallest period of gaps[1..t].  A
+    prefix whose remaining sum cannot hold k-t gaps as large as the first
+    is not extended.  Each rotation orbit of k-subsets of range(n) has
+    exactly one necklace, so the orbit sizes sum to C(n, k).
     """
     if k == 1:
-        if lo <= 0 < hi:
-            yield (0,), n
+        yield (0,), n
         return
     last = k - 1
     gaps = [0] * (k + 1)
     tail = [0] * k
     period = [1] * k
-    rank = [0] * k
     t = 1
     while t:
         gap = gaps[t] + 1
@@ -154,14 +148,8 @@ def _orbit_representatives(n, k, lo, hi):
         if left < (k - t) * (gaps[1] if t > 1 else gap):
             t -= 1
             continue
-        at = tail[t] = prev + gap
-        r = rank[t] = rank[t - 1] + comb(n - 1 - prev, k - t) - comb(n - at, k - t)
-        if r >= hi:
-            t -= 1
-            continue
+        tail[t] = prev + gap
         gaps[t] = gap
-        if r + comb(n - 1 - at, last - t) <= lo:
-            continue
         p = period[t - 1]
         if gap != gaps[t - p]:
             p = t
@@ -178,17 +166,19 @@ def _orbit_representatives(n, k, lo, hi):
 
 
 def subset_power_sum(n, k, genus, columns, lo, hi):
-    """Sum of orbit size times term over the necklace subsets among {0} + T,
-    T over the lex ranks [lo, hi) of combinations(range(1, n), k - 1),
-    mod field(...)'s p.
+    """The integer sum over all C(n, k) subsets, as orbit size times term
+    over the necklaces, provided the query is admissible (see the module
+    docstring).
 
-    Over [0, C(n-1, k-1)) this is the full sum over all C(n, k) subsets,
-    provided the query is admissible (see the module docstring); since
-    each orbit has one representative, any split of the ranks into
-    [lo, hi) ranges sums to that residue.  Raises ArithmeticError when
-    the genus >= 2 denominator is not a unit mod p.
+    lo, hi must be 0, C(n-1, k-1): the lex ranks of the subsets {0} + T,
+    all of them; any other range raises ValueError.  Raises
+    ArithmeticError when the genus >= 2 denominator is not a unit mod p,
+    or when the lifted sum exceeds its bound.
     """
-    _, p, w = field(n, k, genus, columns)
+    if (lo, hi) != (0, comb(n - 1, k - 1)):
+        raise ValueError("the kernel sums the full rank range [0, %d), not [%d, %d)"
+                         % (comb(n - 1, k - 1), lo, hi))
+    bits, p, w = field(n, k, genus, columns)
     roots = [1] * n  # roots[c] = w^c mod p, one product per power
     for c in range(1, n):
         roots[c] = roots[c - 1] * w % p
@@ -197,7 +187,7 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
     # the factors every term shares: sign at genus 0, (n^k * sign)^(g-1) above it
     scale = sign if genus == 0 else pow(pow(n, k, p) * sign, genus - 1, p)
     num, den = 0, 1
-    for subset, size in _orbit_representatives(n, k, lo, hi):
+    for subset, size in _orbit_representatives(n, k):
         term = size
         if jmax:
             e = [1] + [0] * jmax
@@ -227,4 +217,10 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
     except ValueError:
         raise ArithmeticError(
             "the denominator of the subset sum is not a unit mod p=%d" % p) from None
-    return num * scale * inverse % p
+    total = num * scale * inverse % p
+    if total > p // 2:
+        total -= p
+    if total.bit_length() > bits:
+        raise ArithmeticError(
+            "subset sum %d exceeds its %d-bit bound mod p=%d" % (total, bits, p))
+    return total

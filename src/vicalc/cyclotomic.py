@@ -11,8 +11,7 @@ The inverse is by the Galois norm: x^-1 = adj / N(x), where
 adj = prod_{j in (Z/n)^x, j != 1} sigma_j(x) and N(x) = x * adj is rational.
 
 Phi_n is the exact integer quotient (x^n - 1) / prod_{d | n, d < n} Phi_d(x).
-Per-order data is cached in a module table; the fill is idempotent, so a
-racing second writer is harmless.
+Per-order data is cached in a module table.
 """
 
 from fractions import Fraction

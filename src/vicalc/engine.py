@@ -26,22 +26,9 @@ fusion-algebra oracle pins the version used here.
 The identity prod(rho) * prod_{i != j}(rho_i - rho_j) = n^k / R_S with
 R_S = prod_{rho in S, tau not in S}(rho - tau) cancels the n-power
 prefactor for genus >= 1, so the subset sum is a rational integer; only
-genus 0 divides by n^k at the end.  vicalc.backend evaluates that sum in
-Z/p for the one modulus p = Phi_n(w), prime to n, sending zeta_n to the
-integer w, with p more than 64 bits above backend.term_bound_bits.  It
-generates one subset per rotation orbit, the orbit's necklace, and
-weights its term by the orbit's size.  That is exact because every term
-of an admissible sum is rotation invariant: a rotation multiplies a term
-by zeta_n^(-e*n) = 1.  Each term is built from prod_{i<j}(rho_i - rho_j)^2,
-using R_S = n^k * (-1)^(k(k-1)/2) / (prod(rho) * prod_{i<j}(rho_i -
-rho_j)^2) at genus >= 2, and the sum takes one inverse mod p; a
-denominator that is not a unit raises ArithmeticError.  The whole sum
-runs once, in the calling process.  The engine lifts the symmetric
-residue to the integer and checks it against the bound: a residue whose
-lift exceeds the bound means the evaluation is broken, and raises
-ArithmeticError (exit 4 on the command line) instead of returning a
-wrong value.  A corrupted residue slips through with probability below
-2^-64.
+genus 0 divides by n^k at the end.  backend.subset_power_sum returns
+that integer, computed in the calling process; the backend module
+docstring says how, and why an admissible query is required.
 
 vi_reference is the slow literal route: it still visits every k-subset
 and does its arithmetic in Q(zeta_n), with the ordered-pair product for D
@@ -193,16 +180,8 @@ def vi_invariant(query):
     """Exact invariant for a d=0 query; see the module docstring for the sum."""
     _require_admissible(query)  # the kernel's rotation reduction needs it
     n, k, genus = query.n, query.k, query.g
-    columns = query.columns
-    bits, p, _ = backend.field(n, k, genus, columns)
-    lifted = backend.subset_power_sum(n, k, genus, columns, 0, comb(n - 1, k - 1))
-    if lifted > p // 2:
-        lifted -= p
-    if lifted.bit_length() > bits:
-        raise ArithmeticError(
-            "subset sum %d exceeds its %d-bit bound mod p=%d" % (lifted, bits, p)
-        )
-    value = Fraction(sign_factor(query.e, k) * lifted)
+    total = backend.subset_power_sum(n, k, genus, query.columns, 0, comb(n - 1, k - 1))
+    value = Fraction(sign_factor(query.e, k) * total)
     if genus == 0:
         value /= Fraction(n) ** k
     return InvariantResult(value=value, terms_summed=comb(n, k))

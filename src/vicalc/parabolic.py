@@ -67,10 +67,8 @@ class ParabolicData:
             raise ValueError("rank must be positive")
         for p in pts:
             if p.flag_total() != self.rank:
-                raise ValueError(
-                    "invariant violation: multiplicities sum to %d, rank is %d"
-                    % (p.flag_total(), self.rank)
-                )
+                raise ValueError("marked point multiplicities sum to %d, rank is %d"
+                                 % (p.flag_total(), self.rank))
 
 
 def parabolic_degree(data):

@@ -246,6 +246,9 @@ def test_parabolic_degree_cli():
     code, _, err = run("parabolic-degree", "--rank", "2", "--degree", "0",
                        "--point", "nope")
     assert code == 2
+    # a point with no flag is refused input, exit 2, not an internal invariant violation
+    assert run("parabolic-degree", "--rank", "2", "--degree", "0", "--point", "") == (
+        2, "", "vicalc: error: marked point multiplicities sum to 0, rank is 2\n")
 
 
 def test_corollary_report_differs():

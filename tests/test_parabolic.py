@@ -53,7 +53,7 @@ def test_floats_are_refused():
 
 
 def test_flag_sum_must_match_rank():
-    with pytest.raises(ValueError, match="invariant violation"):
+    with pytest.raises(ValueError, match="^marked point multiplicities sum to 3, rank is 2$"):
         ParabolicData(2, 0, ((("0", "1/2"), (1, 2)),))
     with pytest.raises(ValueError, match="rank must be positive"):
         ParabolicData(0, 0)

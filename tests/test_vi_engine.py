@@ -4,7 +4,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd
 
 import pytest
@@ -21,6 +21,7 @@ from vicalc.engine import (
     evaluate,
     reference_term,
     required_weight,
+    sign_factor,
     vi_invariant,
     vi_reference,
 )
@@ -265,32 +266,32 @@ def test_degree_reduce_pipeline_matches_direct():
                     assert evaluate(twisted).value == vi_invariant(q).value, (q, d_l)
 
 
-def test_rank_splits_sum_to_the_full_residue():
-    q = InvariantQuery(10, 3, 2, -3, monomial=(3, 3, 3), convention="dual")
-    assert admissible(q)
-    assert vi_invariant(q).value == vi_reference(q).value
-    # any split of the ranks of [0, C(n-1, k-1)), the subsets containing 0,
-    # into [lo, hi) ranges sums to the full residue; (12, 4) and (12, 6)
-    # have orbits with non-trivial stabilisers
-    rng = random.Random(57)
-    for n, k, g in ((5, 2, 0), (8, 3, 1), (10, 3, 2), (11, 4, 3), (12, 4, 2), (12, 6, 0)):
-        sig = tuple(sorted(rng.randint(1, k) for _ in range(3)))
-        total = comb(n - 1, k - 1)
-        p = backend.field(n, k, g, sig)[1]
-        full = backend.subset_power_sum(n, k, g, sig, 0, total)
-        assert 0 <= full < p
-        for _ in range(3):
-            cuts = sorted(rng.sample(range(1, total), rng.randint(1, min(4, total - 1))))
-            edges = [0] + cuts + [total]
-            parts = [backend.subset_power_sum(n, k, g, sig, lo, hi)
-                     for lo, hi in zip(edges, edges[1:])]
-            assert sum(parts) % p == full, (n, k, g, sig, edges)
+def test_kernel_returns_the_signed_sum_of_the_full_range():
+    # the kernel returns the lifted integer sum, which is the invariant up to
+    # the sign and, at genus 0, the factor n^k; it sums only the full range
+    negative = InvariantQuery(3, 2, 2, -1, monomial=(1,), convention="dual")
+    queries = [q for n in range(2, 7) for k in range(1, n) for g in (0, 1, 2)
+               for q in admissible_queries(n, k, g, 3)]
+    assert negative in queries
+    for q in queries:
+        n, k = q.n, q.k
+        total = backend.subset_power_sum(n, k, q.g, q.columns, 0, comb(n - 1, k - 1))
+        if q == negative:
+            assert total == -9
+        value = Fraction(sign_factor(q.e, k) * total)
+        if q.g == 0:
+            value /= n ** k
+        assert value == vi_reference(q).value, q
+    ranks = comb(6 - 1, 3 - 1)
+    for lo, hi in ((0, 1), (1, ranks)):
+        with pytest.raises(ValueError, match="full rank range"):
+            backend.subset_power_sum(6, 3, 1, (), lo, hi)
 
 
-def _necklaces_by_filter(n, k, lo, hi):
+def _necklaces_by_filter(n, k):
     """The reference generator: walk every subset {0} + T and keep those
     whose gap word is the least of its rotations."""
-    for tail in islice(combinations(range(1, n), k - 1), lo, hi):
+    for tail in combinations(range(1, n), k - 1):
         subset = (0,) + tail
         gaps = tuple(b - a for a, b in zip(subset, tail + (n,)))
         twice = gaps + gaps
@@ -307,32 +308,26 @@ def test_orbit_representatives_are_the_necklaces():
     def phi(m):
         return sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
 
-    rng = random.Random(7)
     for n in range(2, 17):
         for k in range(1, n):
-            total = comb(n - 1, k - 1)
-            reps = list(backend._orbit_representatives(n, k, 0, total))
+            reps = list(backend._orbit_representatives(n, k))
             assert sum(size for _, size in reps) == comb(n, k), (n, k)
             necklaces = sum(phi(d) * comb(n // d, k // d)
                             for d in range(1, gcd(n, k) + 1) if gcd(n, k) % d == 0)
             assert len(reps) * n == necklaces, (n, k)
-            if n > 14:
-                continue
-            # the same sequence as the filter, on the full range and on random ones
-            ranges = [(0, total)] + [sorted(rng.choices(range(total + 1), k=2))
-                                     for _ in range(6)]
-            for lo, hi in ranges:
-                assert (list(backend._orbit_representatives(n, k, lo, hi))
-                        == list(_necklaces_by_filter(n, k, lo, hi))), (n, k, lo, hi)
+            # the same sequence as the filter
+            assert reps == list(_necklaces_by_filter(n, k)), (n, k)
 
 
 def test_periodic_shapes_match_reference():
-    # shapes with necklaces of smallest period below k, beyond the reach of
-    # the other reference sweeps; at n = 12 the fusion oracle is too slow
+    # shapes with necklaces of smallest period below k, and sigma_3^3 on
+    # Gr(3, 10) at genus 2, beyond the reach of the other reference sweeps;
+    # at n = 12 the fusion oracle is too slow
     for n, k, g, e, mono in (
         (8, 4, 0, 0, (4, 4, 4, 4)), (8, 4, 1, -1, (1, 3, 4)), (8, 4, 2, -3, (4, 4)),
         (10, 2, 0, 1, (2, 2, 2)), (10, 2, 1, -1, (1, 1, 2, 2, 2, 2)), (10, 2, 2, -2, (1, 1, 2)),
         (10, 5, 2, -3, (5,)),
+        (10, 3, 2, -3, (3, 3, 3)),
         (12, 4, 0, 2, (4, 4)), (12, 4, 2, -3, (2, 2)),
     ):
         q = InvariantQuery(n, k, g, e, monomial=mono, convention="dual")
