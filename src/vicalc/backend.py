@@ -180,8 +180,9 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
                          % (comb(n - 1, k - 1), lo, hi))
     bits, p, w = field(n, k, genus, columns)
     roots = [1] * n  # roots[c] = w^c mod p, one product per power
-    for c in range(1, n):
-        roots[c] = roots[c - 1] * w % p
+    if k > 1:  # k = 1 has the one necklace (0,), which reads w^0 alone
+        for c in range(1, n):
+            roots[c] = roots[c - 1] * w % p
     jmax = max(columns, default=0)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     # the factors every term shares: sign at genus 0, (n^k * sign)^(g-1) above it

@@ -2,20 +2,24 @@
 
 Options by subcommand: every query subcommand (vi, count-max, qh-table,
 parabolic-degree, s-invariant, corollary-report) takes --format; only vi
-takes --convention and --workers; batch takes only its path.  One parser
-is built per process, and batch lines are parsed with it too.  Every
-subcommand but qh-table prints one record, rendered by _record; the text
-form of corollary-report is its own three lines.  count-max always
-reports the dual spelling of its query.
+takes --convention and --workers; batch takes only its path.  One table,
+_OPTIONS, lists every query option with its reader, default or
+requirement, choices and help.  build_parser makes the argparse parser
+from it, once per process, and _job_namespace reads each batch line with
+it into the namespace that line's command line would parse to, refusing
+what argparse would refuse.  Every subcommand but qh-table prints one
+record, rendered by _record; the text form of corollary-report is its
+own three lines.  count-max always reports the dual spelling of its
+query.
 
-Exit codes follow the exception type, and _run alone maps them: 0
+Exit codes follow the exception type, and _dispatch alone maps them: 0
 success; 3 InadmissibleQueryError (the requested value does not exist:
 degree condition violated); 2 any other ValueError, the one refusal type
 (a malformed option, shape or batch job), and argparse's own errors; 4
 anything else, an internal invariant violation (the algebra promised
 something the computation broke, e.g. a subset sum outside its L1
 bound).  A batch reports each refused line and exits with the first
-nonzero code.
+nonzero code; a line the job reader refuses exits 2.
 
 List options (--monomial, --lhs, --rhs, --exponents, --weights, and each
 --point) share one grammar, read by _list: entries are separated by
@@ -40,6 +44,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -315,72 +320,82 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# the option table, and the parser and the job reader built from it
+
+_REQUIRED = object()  # the default of an option that must be given
+_FORMAT = ("format", str, "text", ("text", "json", "csv"), None)
+
+# Each query subcommand's help and options.  An option is (name, reader,
+# default or _REQUIRED, choices, help); a list default makes it repeatable.
+# build_parser makes --name of each row, and _job_namespace reads a job's
+# parameters with the same rows.
+_OPTIONS = {
+    "vi": ("genus-g invariant on the degree-0 locus", (
+        _FORMAT,
+        ("convention", str, "paper", CONVENTIONS, None),
+        ("workers", worker_count, 0, None, "accepted for compatibility; has no effect"),
+        ("n", int, _REQUIRED, None, None),
+        ("k", int, _REQUIRED, None, None),
+        ("g", int, _REQUIRED, None, None),
+        ("e", int, _REQUIRED, None, None),
+        ("d", int, 0, None, None),
+        ("monomial", str, "", None, "insertion subscripts, comma separated"),
+    )),
+    "count-max": ("maximal-subbundle count m(n,d,k,g)", (
+        _FORMAT,
+        ("n", int, _REQUIRED, None, None),
+        ("d", int, _REQUIRED, None, None),
+        ("k", int, _REQUIRED, None, None),
+        ("g", int, _REQUIRED, None, None),
+    )),
+    "qh-table": ("quantum product expansions over the box basis", (
+        _FORMAT,
+        ("k", int, _REQUIRED, None, None),
+        ("n", int, _REQUIRED, None, None),
+        ("lhs", str, None, None, "left partition, comma separated"),
+        ("rhs", str, None, None, "right partition, comma separated"),
+    )),
+    "parabolic-degree": ("ordinary degree plus weighted flag contributions", (
+        _FORMAT,
+        ("rank", int, _REQUIRED, None, None),
+        ("degree", int, _REQUIRED, None, None),
+        ("point", str, [], None, "marked point as weight:mult,weight:mult,..."),
+    )),
+    "s-invariant": ("k(n-k)(g-1) + eps + N * sum of weights", (
+        _FORMAT,
+        ("n", int, _REQUIRED, None, None),
+        ("k", int, _REQUIRED, None, None),
+        ("g", int, _REQUIRED, None, None),
+        ("eps", int, _REQUIRED, None, None),
+        ("group-order", int, 0, None, None),
+        ("weights", str, None, None, "rationals, comma separated"),
+        ("exponents", str, None, None, "equivariant exponents, converted via --group-order"),
+    )),
+    "corollary-report": ("published n^(ng) claim next to the formula value", (
+        _FORMAT,
+        ("n", int, _REQUIRED, None, None),
+        ("g", int, _REQUIRED, None, None),
+        ("d", int, 1, None, None),
+    )),
+}
+
 
 def build_parser():
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser = argparse.ArgumentParser(
         prog="vicalc",
         description="Exact Grassmannian invariants from root-of-unity sums.",
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("vi", allow_abbrev=False, parents=[formatted],
-                       help="genus-g invariant on the degree-0 locus")
-    p.add_argument("--convention", choices=CONVENTIONS, default="paper")
-    p.add_argument("--workers", type=worker_count, default=0,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--d", type=int, default=0)
-    p.add_argument("--monomial", default="",
-                   help="insertion subscripts, comma separated")
-
-    p = sub.add_parser("count-max", allow_abbrev=False, parents=[formatted],
-                       help="maximal-subbundle count m(n,d,k,g)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-
-    p = sub.add_parser("qh-table", allow_abbrev=False, parents=[formatted],
-                       help="quantum product expansions over the box basis")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lhs", default=None, help="left partition, comma separated")
-    p.add_argument("--rhs", default=None, help="right partition, comma separated")
-
-    p = sub.add_parser("parabolic-degree", allow_abbrev=False, parents=[formatted],
-                       help="ordinary degree plus weighted flag contributions")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--point", action="append", default=[],
-                   help="marked point as weight:mult,weight:mult,...")
-
-    p = sub.add_parser("s-invariant", allow_abbrev=False, parents=[formatted],
-                       help="k(n-k)(g-1) + eps + N * sum of weights")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--eps", type=int, required=True)
-    p.add_argument("--group-order", type=int, default=0)
-    p.add_argument("--weights", default=None, help="rationals, comma separated")
-    p.add_argument("--exponents", default=None,
-                   help="equivariant exponents, converted via --group-order")
-
-    p = sub.add_parser("corollary-report", allow_abbrev=False, parents=[formatted],
-                       help="published n^(ng) claim next to the formula value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-
+    for command, (command_help, options) in _OPTIONS.items():
+        p = sub.add_parser(command, allow_abbrev=False, help=command_help)
+        for name, read, default, choices, option_help in options:
+            required = default is _REQUIRED
+            p.add_argument("--" + name, type=read, choices=choices, help=option_help,
+                           required=required, default=None if required else default,
+                           action="append" if isinstance(default, list) else "store")
     p = sub.add_parser("batch", allow_abbrev=False, help="run one JSON job per line of a file")
     p.add_argument("path")
-
     return parser
 
 
@@ -393,16 +408,22 @@ def _job_field(job, key, kind, default=None):
 
 
 _JOB_KEYS = frozenset(("subcommand", "output_format", "convention", "parameters"))
-# parameters that would reach argparse as something other than a query option:
-# --help prints to stdout, and --format or --convention would override the job's own key
+# parameters that are not query options: --help prints to stdout, and --format
+# or --convention would override the job's own key
 _REFUSED_PARAMETERS = {
     "help": "a job prints no help",
     "format": 'give it as the job\'s "output_format"',
     "convention": 'give it as the job\'s "convention"',
 }
+# argparse (3.10, 3.11) takes a value for an option, and so refuses it as one,
+# when it starts with "-", has more than one character and no space, and does
+# not match this pattern
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _job_to_argv(job):
+def _job_texts(job):
+    """The subcommand of a job and its (option, text) pairs, in command-line
+    order: the format, the convention if given, then the parameters by key."""
     if not isinstance(job, dict):
         raise ValueError("job line must be a JSON object")
     unknown = sorted(set(job) - _JOB_KEYS)
@@ -411,25 +432,63 @@ def _job_to_argv(job):
     sub = job.get("subcommand")
     if not isinstance(sub, str) or sub not in _RUNNERS:
         raise ValueError("unknown subcommand %r" % (sub,))
-    argv = [sub, "--format", _job_field(job, "output_format", str, "text")]
+    texts = [("format", _job_field(job, "output_format", str, "text"))]
     if "convention" in job:
-        argv += ["--convention", _job_field(job, "convention", str)]
+        texts.append(("convention", _job_field(job, "convention", str)))
     for key, value in sorted(_job_field(job, "parameters", dict, {}).items()):
         if key in _REFUSED_PARAMETERS:
             raise ValueError("parameter %r refused: %s" % (key, _REFUSED_PARAMETERS[key]))
-        flag = "--" + str(key).replace("_", "-")
+        name = str(key).replace("_", "-")
         if isinstance(value, (list, tuple)):
             if key == "point":
-                for item in value:
-                    argv += [flag, str(item)]
+                texts += [(name, str(item)) for item in value]
             else:
-                argv += [flag, ",".join(str(v) for v in value)]
+                texts.append((name, ",".join(str(v) for v in value)))
         else:
-            argv += [flag, str(value)]
-    return argv
+            texts.append((name, str(value)))
+    return sub, texts
 
 
-def _execute_batch(parser, path):
+def _job_namespace(job):
+    """The namespace a job's command line parses to, read with the option
+    table: the same values, and a ValueError for every line argparse refuses."""
+    sub, texts = _job_texts(job)
+    options = _OPTIONS[sub][1]
+    rows = {row[0]: row for row in options}
+    values = {}
+    for name, text in texts:
+        if name not in rows:
+            raise ValueError("%s takes no --%s" % (sub, name))
+        _, read, default, choices, _ = rows[name]
+        if (text[:1] == "-" and len(text) > 1 and " " not in text
+                and not _NEGATIVE_NUMBER.match(text)):
+            raise ValueError("argument --%s: %r reads as an option" % (name, text))
+        try:
+            value = read(text)
+        except argparse.ArgumentTypeError as ex:
+            raise ValueError("argument --%s: %s" % (name, ex)) from None
+        except ValueError:
+            raise ValueError("argument --%s: invalid %s value: %r"
+                             % (name, read.__name__, text)) from None
+        if choices is not None and value not in choices:
+            raise ValueError("argument --%s: invalid choice: %r (choose from %s)"
+                             % (name, value, ", ".join(map(repr, choices))))
+        if isinstance(default, list):
+            values.setdefault(name, []).append(value)
+        else:
+            values[name] = value
+    missing = ["--" + name for name, _, default, _, _ in options
+               if default is _REQUIRED and name not in values]
+    if missing:
+        raise ValueError("the following arguments are required: %s" % ", ".join(missing))
+    ns = argparse.Namespace(command=sub)
+    for name, _, default, _, _ in options:
+        setattr(ns, name.replace("-", "_"),
+                values.get(name, list(default) if isinstance(default, list) else default))
+    return ns
+
+
+def _execute_batch(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -442,13 +501,12 @@ def _execute_batch(parser, path):
             continue
         # json raises RecursionError, not ValueError, on a line nested past the recursion limit
         try:
-            job = json.loads(line)
-            argv = _job_to_argv(job)
+            ns = _job_namespace(json.loads(line))
         except (ValueError, RecursionError) as ex:
             err_parts.append("vicalc: batch line %d: %s\n" % (lineno, ex))
             code = code or 2
             continue
-        job_code, job_out, job_err = _run(parser, argv)
+        job_code, job_out, job_err = _dispatch(ns)
         out_parts.append(job_out)
         if job_err:
             err_parts.append("batch line %d: %s" % (lineno, job_err))
@@ -456,16 +514,11 @@ def _execute_batch(parser, path):
     return code, "".join(out_parts), "".join(err_parts)
 
 
-def _run(parser, argv):
-    """Parse argv with parser and run it: (exit code, stdout, stderr)."""
-    out_buf, err_buf = io.StringIO(), io.StringIO()
-    with redirect_stdout(out_buf), redirect_stderr(err_buf):
-        try:
-            ns = parser.parse_args(argv)
-        except SystemExit as ex:
-            return int(ex.code or 0), out_buf.getvalue(), err_buf.getvalue()
+def _dispatch(ns):
+    """Run a parsed command: (exit code, stdout, stderr).  The one place an
+    exception type becomes an exit code."""
     if ns.command == "batch":
-        return _execute_batch(parser, ns.path)
+        return _execute_batch(ns.path)
     try:
         return 0, _RUNNERS[ns.command](ns), ""
     except InadmissibleQueryError as ex:  # first: it is a ValueError
@@ -477,7 +530,14 @@ def _run(parser, argv):
 
 
 def _execute(argv):
-    return _run(build_parser(), argv)
+    """Parse argv with one parser and run it: (exit code, stdout, stderr)."""
+    out_buf, err_buf = io.StringIO(), io.StringIO()
+    with redirect_stdout(out_buf), redirect_stderr(err_buf):
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as ex:
+            return int(ex.code or 0), out_buf.getvalue(), err_buf.getvalue()
+    return _dispatch(ns)
 
 
 def main(argv=None):

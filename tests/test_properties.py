@@ -1,6 +1,7 @@
 """Property tests: random admissible queries held against the fusion oracle,
-random batch files held against the same jobs run one by one, and random
-comma lists held to the command line's list grammar.
+random batch files held against the same jobs run one by one, random
+comma lists held to the command line's list grammar, and any job, well
+formed or not, held to the command line it stands for.
 
 The exhaustive sweeps in test_acceptance.py stop at n = 6; the oracle
 test draws from 7 <= n <= 9, where the kernel visits only the subsets
@@ -9,6 +10,7 @@ containing 0.
 
 import csv
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -179,3 +181,117 @@ def test_an_empty_entry_is_refused_on_the_line_and_in_a_batch(tmp_path_factory, 
     code, out, err = _execute(["batch", str(path)])
     assert (code, out) == (2, '{"value":"6","integral":true}\n' * 2)
     assert err.startswith("batch line 2: vicalc: error: empty entry") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# any job, well formed or not, against the command line it stands for
+
+def job_argv(job):
+    """The command line a batch job stands for: the format, the convention if
+    given, then one option per parameter by key; a list is joined with "," but
+    a "point" list gives one --point per item, and anything else is str()."""
+    argv = [job["subcommand"], "--format", job.get("output_format", "text")]
+    if "convention" in job:
+        argv += ["--convention", job["convention"]]
+    for key, value in sorted(job["parameters"].items()):
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            if key == "point":
+                for item in value:
+                    argv += [flag, str(item)]
+            else:
+                argv += [flag, ",".join(str(v) for v in value)]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+small = st.integers(-2, 6)
+# each subcommand's well formed parameters; the values are small so every query is
+# quick, and some queries are inadmissible (exit 3) or refused by their runner (exit 2)
+VALID_PARAMETERS = {
+    "vi": st.fixed_dictionaries(
+        {"n": st.integers(2, 6), "k": st.integers(1, 3), "g": st.integers(0, 2), "e": small},
+        optional={"d": small, "monomial": st.lists(st.integers(0, 3), max_size=4),
+                  "workers": st.integers(0, 2)}),
+    "count-max": st.fixed_dictionaries(
+        {"n": st.integers(1, 6), "d": small, "k": st.integers(0, 3), "g": st.integers(0, 3)}),
+    "qh-table": st.fixed_dictionaries(
+        {"k": st.integers(1, 3), "n": st.integers(2, 5)},
+        optional={"lhs": st.lists(st.integers(0, 2), max_size=2).map(lambda p: sorted(p)[::-1]),
+                  "rhs": st.just("1")}),
+    "parabolic-degree": st.fixed_dictionaries(
+        {"rank": st.integers(1, 3), "degree": small},
+        optional={"point": st.lists(st.sampled_from(("1/4:1,3/4:1", "1/2:2", "0:1", "1/3:3")),
+                                    max_size=2)}),
+    "s-invariant": st.fixed_dictionaries(
+        {"n": st.integers(2, 5), "k": st.integers(1, 3), "g": st.integers(0, 2),
+         "eps": st.integers(0, 4)},
+        optional={"group_order": st.integers(0, 3),
+                  "weights": st.lists(weights, max_size=3).map(lambda ws: [str(w) for w in ws]),
+                  "exponents": st.lists(st.integers(0, 3), max_size=3).map(
+                      lambda es: ",".join(map(str, es)))}),
+    "corollary-report": st.fixed_dictionaries(
+        {"n": st.integers(1, 5), "g": st.integers(-1, 3)}, optional={"d": small}),
+}
+# texts argparse takes for options, negative numbers, numeric strings, floats, bools,
+# null and nested lists
+ODD_VALUES = st.sampled_from((
+    "-0,1", "-0/1", "--n", "-1 ", "-1_0", "-1", "-0.5", "-", "--", "-1/2", "-1:1",
+    "4", " 4", "1_0", "+3", "", "0,1", "1/4:1", 1.0, -0.5, 2.5, True, False, None,
+    [[1, 2]], [1, [2]], ["-0/1"], ["-0/1:1"], [], [-1, 2],
+))
+
+# texts argparse takes for options, each of which its option's reader would read as a
+# valid value: the argv route refused them, so the batch must too
+OPTION_LIKE = {"g": "-0_0", "e": "-0_0", "d": "-0_0", "degree": "-0_0", "workers": "-0_0",
+               "group_order": "-0_0", "lhs": "-0", "rhs": "-0", "exponents": "-0,1",
+               "weights": ["-0/1"]}
+
+
+@st.composite
+def any_jobs(draw):
+    """A job of any query subcommand: valid, or with an unknown or abbreviated
+    key, a missing key, an odd or option-like value, or a bad output_format or
+    convention."""
+    sub = draw(st.sampled_from(sorted(VALID_PARAMETERS)))
+    params = draw(VALID_PARAMETERS[sub])
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):
+        mutation = draw(st.sampled_from(("unknown", "missing", "odd", "option")))
+        if mutation == "option" and set(params) & set(OPTION_LIKE):
+            key = draw(st.sampled_from(sorted(set(params) & set(OPTION_LIKE))))
+            params[key] = OPTION_LIKE[key]
+        elif mutation == "unknown":
+            params[draw(st.sampled_from(("mono", "he", "conv", "group", "points", "x")))] = \
+                draw(st.one_of(small, ODD_VALUES))
+        elif mutation == "missing" and params:
+            del params[draw(st.sampled_from(sorted(params)))]
+        elif params:
+            params[draw(st.sampled_from(sorted(params)))] = draw(ODD_VALUES)
+    job = {"subcommand": sub, "parameters": params}
+    fmt = draw(st.sampled_from((None, "json", "csv", "text") * 3 + ("xml", "", "-1", "JSON")))
+    if fmt is not None:
+        job["output_format"] = fmt
+    convention = draw(st.sampled_from((None,) * 6 + ("paper", "dual", "", "Dual", "--n")))
+    if convention is not None:
+        job["convention"] = convention
+    return job
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(any_jobs(), min_size=1, max_size=4))
+def test_any_batch_line_exits_and_prints_like_its_command_line(tmp_path_factory, jobs):
+    alone = [_execute(job_argv(job)) for job in jobs]
+    folder = tmp_path_factory.mktemp("batch")
+    for i, (job, (line_code, line_out, _)) in enumerate(zip(jobs, alone)):
+        path = folder / ("line%d.ndjson" % i)
+        path.write_text(json.dumps(job) + "\n")
+        assert _execute(["batch", str(path)])[:2] == (line_code, line_out), job
+    path = folder / "jobs.ndjson"
+    path.write_text("".join(json.dumps(job) + "\n" for job in jobs))
+    code, out, err = _execute(["batch", str(path)])
+    assert out == "".join(line_out for _, line_out, _ in alone)
+    assert code == next((line_code for line_code, _, _ in alone if line_code), 0)
+    named = [int(match.group(1)) for match in re.finditer(r"^(?:vicalc: )?batch line (\d+): ",
+                                                          err, re.M)]
+    assert named == [i for i, (line_code, _, _) in enumerate(alone, start=1) if line_code]
