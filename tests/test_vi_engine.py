@@ -479,7 +479,7 @@ def test_count_maximal_memory_grows_with_n_not_n_squared():
     # the kernel keeps the n powers of w, not an n x n table of differences:
     # at n = 1000 that table of a million residues took over 100 MiB.  Rank one
     # has the one necklace (0,) and fills no powers at all: at n = 110,880 the
-    # powers of w modulo a 36,518-bit p took 463 MiB and most of the 1.6 s.
+    # powers of w modulo a 36,518-bit p took 463 MiB and most of the query's time.
     # At genus one the count is the number of subsets.
     for n, k, limit in ((1000, 1, 8 << 20), (1000, 2, 8 << 20), (110880, 1, 16 << 20)):
         tracemalloc.start()
