@@ -13,7 +13,8 @@ one residue:
 
 with rho_S = prod(rho), V_S = prod_{i<j}(rho_i - rho_j)^2 and Delta_S
 the product of the elementary symmetric values sigma_j(S) over the
-requested indices.  Since prod_{tau != rho}(rho - tau) = n*rho^(n-1) =
+requested indices, taken as one power sigma_j(S)^m per distinct index j
+of multiplicity m.  Since prod_{tau != rho}(rho - tau) = n*rho^(n-1) =
 n/rho, the product of that over rho in S splits into R_S times the
 differences inside S, and
 
@@ -184,6 +185,9 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
         for c in range(1, n):
             roots[c] = roots[c - 1] * w % p
     jmax = max(columns, default=0)
+    groups = {}  # the multiplicity of each distinct column
+    for j in columns:
+        groups[j] = groups.get(j, 0) + 1
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
     # the factors every term shares: sign at genus 0, (n^k * sign)^(g-1) above it
     scale = sign if genus == 0 else pow(pow(n, k, p) * sign, genus - 1, p)
@@ -196,7 +200,8 @@ def subset_power_sum(n, k, genus, columns, lo, hi):
                 x = roots[c]
                 for j in range(min(jmax, seen), 0, -1):
                     e[j] = (e[j] + e[j - 1] * x) % p
-            term = term * prod(e[j] for j in columns) % p
+            for j, m in groups.items():
+                term = term * pow(e[j], m, p) % p
         if genus == 1:
             num += term
             continue

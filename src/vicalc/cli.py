@@ -10,7 +10,8 @@ it into the namespace that line's command line would parse to, refusing
 what argparse would refuse.  Every subcommand but qh-table prints one
 record, rendered by _record; the text form of corollary-report is its
 own three lines.  count-max always reports the dual spelling of its
-query.
+query.  corollary-report refuses, before computing, a claim n^(n*g)
+whose digit estimate n*g*log10(n) exceeds CLAIM_DIGITS.
 
 Exit codes follow the exception type, and _dispatch alone maps them: 0
 success; 3 InadmissibleQueryError (the requested value does not exist:
@@ -44,6 +45,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -292,7 +294,16 @@ def _run_s_invariant(ns):
     ], ("value",))
 
 
+CLAIM_DIGITS = 100_000  # corollary-report's budget for the claim's digit estimate
+
+
 def _run_corollary_report(ns):
+    # n*g*log10(n), about the digit count of n^(n*g), with log10(n) in 20-bit
+    # fixed point so that no size overflows a float; count_maximal refuses n < 2
+    digits = ns.n * ns.g * round(math.log10(ns.n) * (1 << 20)) >> 20 if ns.n > 1 else 0
+    if digits > CLAIM_DIGITS:
+        raise ValueError("the claim n^(n*g) would have about %s digits, over the budget of %d"
+                         % (_rat(digits), CLAIM_DIGITS))
     derived = count_maximal(ns.n, ns.d, 1, ns.g).value
     claimed = Fraction(ns.n) ** (ns.n * ns.g)
     differ = claimed != derived

@@ -5,9 +5,11 @@ but Littlewood-Richardson numbers and rim-hook reduction: basis = the
 C(n, k) partitions in the k x (n-k) box, counit = coefficient of the
 full box, handle element sum_i sigma_i * sigma_i^dual, the pairing being
 Poincare duality, kept as the one permutation `dual`, the box complement,
-and checked against LR numbers over the box preimages.  A genus-g
-invariant is the counit of (product of insertions) * H^g, read through
-that permutation, with the powers H^g kept per algebra.
+and checked against LR numbers over the box preimages: one enumeration
+per checked pair, read at every preimage.  A genus-g invariant is the
+counit of (product of insertions) * H^g, read through that permutation,
+with the powers H^g kept per algebra.  Each product of two basis classes
+is kept sparse, as its nonzero terms, and multiply walks only those.
 
 A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
@@ -31,8 +33,8 @@ from .cyclotomic import zeta
 from .engine import _require_admissible
 from .symfunc import (
     Partition,
+    _lr_expand,
     elementary_symmetrics,
-    lr_coefficient,
     partitions_in_box,
     quantum_product,
     rim_hook_reduce,
@@ -65,15 +67,24 @@ class FusionAlgebra:
 
     def product_vector(self, i, j):
         """sigma_i * sigma_j at q = 1, as a coefficient vector over the basis."""
+        out = [0] * self.dim
+        for t, c in self._terms(i, j):
+            out[t] = c
+        return out
+
+    def _terms(self, i, j):
+        """sigma_i * sigma_j at q = 1 as its nonzero (basis index, coefficient)
+        terms, one quantum_product per unordered pair."""
         if i > j:
             i, j = j, i
         got = self._products.get((i, j))
         if got is None:
-            got = [0] * self.dim
-            qp = quantum_product(self.basis[i], self.basis[j], self.k, self.n)
-            for (parts, _), coeff in qp.items():
-                got[self.index[parts]] += coeff
-            self._products[(i, j)] = got
+            acc = {}
+            for (parts, _), coeff in quantum_product(self.basis[i], self.basis[j],
+                                                     self.k, self.n).items():
+                t = self.index[parts]
+                acc[t] = acc.get(t, 0) + coeff
+            got = self._products[(i, j)] = [(t, c) for t, c in acc.items() if c]
         return got
 
     def multiply(self, v, w):
@@ -82,11 +93,9 @@ class FusionAlgebra:
         for i, vi in enumerate(v):
             if vi:
                 for j, wj in w_terms:
-                    pv = self.product_vector(i, j)
                     c = vi * wj
-                    for t, p in enumerate(pv):
-                        if p:
-                            out[t] += c * p
+                    for t, p in self._terms(i, j):
+                        out[t] += c * p
         return out
 
     def counit(self, v):
@@ -99,38 +108,46 @@ class FusionAlgebra:
 
         The pairing at q = 1 is the 3-point invariant <sigma_i, sigma_j, 1>,
         which the fundamental-class axiom kills in positive degree: Poincare
-        duality.  Each entry j >= i of degree k(n-k) mod n is checked against
-        LR numbers over the box preimages and rim-hook signs, never against
-        the products, and a mismatch means wrong products: ArithmeticError.
+        duality.  Each entry j >= i with |lam_i| + |lam_j| = k(n-k) + n*s is
+        checked against LR numbers over the box preimages of s strips and
+        their rim-hook signs, never against the products, and a mismatch
+        means wrong products: ArithmeticError.  Each preimage is reduced once,
+        and must reduce to the box; each pair takes one LR enumeration,
+        bounded by the preimages' rows, which gives c^nu for all of them.
         """
         k, n, top = self.k, self.n, self.k * self.cols
         box = self.basis[self.box_index]
-        preimages = {m: box_preimages(k, n, m) for m in range(top // n + 1)}
         dual = [self.index[Partition(self.cols - lam.row(k - 1 - r) for r in range(k))]
                 for lam in self.basis]
+        by_size = {}  # basis indices by class size; the basis runs by size
         for i, lam in enumerate(self.basis):
-            for j, mu in enumerate(self.basis[i:], i):
-                strips, rem = divmod(sum(lam) + sum(mu) - top, n)
-                if strips < 0 or rem:
-                    continue
-                total = 0
-                for nu in preimages[strips]:
-                    c = lr_coefficient(lam, mu, nu)
-                    if c:
-                        red = rim_hook_reduce(nu, k, n)
-                        if red is None or red[0] != box:
-                            raise ArithmeticError("pairing is not a permutation matrix")
-                        total += red[2] * c
-                if total != (j == dual[i]):
+            by_size.setdefault(sum(lam), []).append(i)
+        for strips in range(top // n + 1):
+            targets = []  # (preimage, its rim-hook sign); every preimage has k rows
+            for nu in box_preimages(k, n, strips):
+                red = rim_hook_reduce(nu, k, n)
+                if red is None or red[0] != box:
                     raise ArithmeticError("pairing is not a permutation matrix")
+                targets.append((nu, red[2]))
+            outer = tuple(map(max, zip(*(nu for nu, _ in targets))))
+            for i, lam in enumerate(self.basis):
+                for j in by_size.get(top + n * strips - sum(lam), ()):
+                    if j >= i:  # the larger class as the shape, the smaller as letters
+                        counts = _lr_expand(self.basis[j], lam, outer)
+                        total = sum(sign * counts.get(nu, 0) for nu, sign in targets)
+                        if total != (j == dual[i]):
+                            raise ArithmeticError("pairing is not a permutation matrix")
         return dual
 
     def handle_element(self):
         """H = sum_i sigma_i * sigma_dual(i), as the pairing's inverse is its
         transpose, the permutation `dual` itself; one factor per genus.
         handle_power keeps it as H^1."""
-        terms = (self.product_vector(i, j) for i, j in enumerate(self.dual))
-        return [sum(column) for column in zip(*terms)]
+        out = [0] * self.dim
+        for i, j in enumerate(self.dual):
+            for t, c in self._terms(i, j):
+                out[t] += c
+        return out
 
     def handle_power(self, genus):
         """H^genus for genus >= 1, each power multiplied out once per algebra."""

@@ -3,12 +3,15 @@
 All weights are exact rationals; nothing here may introduce a float,
 because the weight sums are degree shifts and must stay exact.
 A float weight is a TypeError, as a float cyclotomic coefficient is, and
-every integer is read with operator.index.
+every integer is read with operator.index.  MarkedPoint and ParabolicData
+are frozen records in the engine's idiom, not dataclasses, so that loading
+this module does not load dataclasses and inspect.
 """
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .engine import _Record
 
 
 def _weight(w):
@@ -22,18 +25,14 @@ def _weight(w):
     return w
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(_Record):
     """Weights strictly increasing in [0, 1) with positive multiplicities."""
 
-    weights: tuple
-    multiplicities: tuple
+    __slots__ = _fields = ("weights", "multiplicities")
 
-    def __post_init__(self):
-        ws = tuple(_weight(w) for w in self.weights)
-        ks = tuple(operator.index(k) for k in self.multiplicities)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "multiplicities", ks)
+    def __init__(self, weights, multiplicities):
+        ws = tuple(_weight(w) for w in weights)
+        ks = tuple(operator.index(k) for k in multiplicities)
         if len(ws) != len(ks):
             raise ValueError("weights and multiplicities differ in length")
         for a, b in zip(ws, ws[1:]):
@@ -42,6 +41,8 @@ class MarkedPoint:
         for k in ks:
             if k < 1:
                 raise ValueError("multiplicities must be positive")
+        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "multiplicities", ks)
 
     def flag_total(self):
         return sum(self.multiplicities)
@@ -50,25 +51,21 @@ class MarkedPoint:
         return sum(k * w for k, w in zip(self.multiplicities, self.weights))
 
 
-@dataclass(frozen=True)
-class ParabolicData:
-    rank: int
-    degree: int
-    points: tuple = ()
+class ParabolicData(_Record):
+    __slots__ = _fields = ("rank", "degree", "points")
 
-    def __post_init__(self):
-        pts = tuple(
-            p if isinstance(p, MarkedPoint) else MarkedPoint(*p) for p in self.points
-        )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "rank", operator.index(self.rank))
-        object.__setattr__(self, "degree", operator.index(self.degree))
-        if self.rank < 1:
+    def __init__(self, rank, degree, points=()):
+        pts = tuple(p if isinstance(p, MarkedPoint) else MarkedPoint(*p) for p in points)
+        rank, degree = operator.index(rank), operator.index(degree)
+        if rank < 1:
             raise ValueError("rank must be positive")
         for p in pts:
-            if p.flag_total() != self.rank:
+            if p.flag_total() != rank:
                 raise ValueError("marked point multiplicities sum to %d, rank is %d"
-                                 % (p.flag_total(), self.rank))
+                                 % (p.flag_total(), rank))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "points", pts)
 
 
 def parabolic_degree(data):

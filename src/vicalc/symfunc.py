@@ -10,7 +10,8 @@ for everything downstream, so no determinant or crystal shortcuts).
 The tableaux are built letter by letter, each letter a horizontal strip
 that keeps the reverse reading word a lattice word, so one enumeration
 yields c^nu_{lam, mu} for every nu at once: quantum_product takes them
-all, lr_coefficient bounds the shapes by its nu.
+all, lr_coefficient bounds the shapes by its nu, and the fusion pairing
+check bounds them by its box preimages, one enumeration per checked pair.
 
 Rim-hook reduction rewrites a partition with at most k rows, modulo
 removal of border strips of size n, into a class inside the k x (n-k)
@@ -19,7 +20,9 @@ box.  Each removal contributes one power of q and the sign
 removal order, so it is read off the beta numbers mod n in closed form
 (Bertram, Ciocan-Fontanine and Fulton, "Quantum multiplication of Schur
 polynomials", J. Algebra 1999); tests hold it to every removal sequence
-of the one-strip walk.
+of the one-strip walk.  rim_hook_reduce validates its input;
+quantum_product reduces the enumerator's k-row tuples as they come, and
+builds a Partition only for each class its product keeps.
 
 Everything here is integer combinatorics.  elementary_symmetrics takes its
 values from any commutative ring, starting from the ints 1 and 0, so the
@@ -34,12 +37,16 @@ class Partition(tuple):
     """A tuple of weakly decreasing positive parts; trailing zeros dropped.
 
     Each part is read with operator.index, so a float or a string is a
-    TypeError rather than a truncated part.
+    TypeError rather than a truncated part.  A Partition given to the
+    constructor is returned as it is, as tuple() returns a tuple: it was
+    validated when it was built.
     """
 
     __slots__ = ()
 
     def __new__(cls, parts=()):
+        if parts.__class__ is cls:
+            return parts
         ps = [operator.index(p) for p in parts]
         while ps and ps[-1] == 0:
             ps.pop()
@@ -98,36 +105,55 @@ def _lr_strips(shape, prev, letter, size, rest, outer):
     cells in all, out of rows <= letter, so a strip that leaves them too
     little room inside `outer` below that row is cut off.
     Returns (new shape, copies per row) pairs.
+
+    The strips are walked depth first, a row at a time, without recursion:
+    row r takes between least[r], what the rows below it cannot hold, and
+    the most its cap, the lattice room and the copies left allow; each
+    backtrack lowers the deepest row that is still above its least.
     """
     rows = len(shape)
     low = min(letter + 1, rows)
+    budget = sum(outer[low:]) - sum(shape[low:]) - rest  # room below row `low` to spare
+    if budget < 0:
+        return []
     caps = [outer[0] - shape[0]]
     caps += [min(outer[r], shape[r - 1]) - shape[r] for r in range(1, rows)]
-    strip = [0] * (rows + 1)
-    free = [0] * (rows + 1)
+    below = [0] * (rows + 1)  # below[r]: the most copies rows >= r can hold
     for r in range(rows - 1, -1, -1):
-        strip[r] = strip[r + 1] + caps[r]
-        free[r] = free[r + 1] + outer[r] - shape[r]
+        below[r] = below[r + 1] + caps[r]
     out = []
     added = [0] * rows
-
-    def place(r, left, room):
-        if left == 0:
-            if r <= low and rest > free[low]:
-                return
+    least = [0] * rows
+    left = [size] + [0] * rows  # left[r], room[r]: copies to place and lattice room at row r
+    room = [size if letter == 0 else 0] + [0] * rows
+    r = 0
+    while True:
+        want = left[r]
+        if not want:  # rows r.. take none
             out.append((tuple([s + a for s, a in zip(shape, added)]), tuple(added)))
-            return
-        if left > strip[r] or (r == low and left + rest > free[low]):
-            return
-        top = min(caps[r], room, left)
-        room += prev[r]
-        for a in range(top, -1, -1):
-            added[r] = a
-            place(r + 1, left - a, room - a)
-        added[r] = 0
-
-    place(0, size, size if letter == 0 else 0)
-    return out
+        else:
+            # min and max spelled out: this is the oracles' innermost loop
+            top = caps[r] if caps[r] < room[r] else room[r]
+            if want < top:
+                top = want
+            bottom = want - below[r + 1]
+            if top >= bottom and (r != low or want <= budget):
+                added[r] = top
+                least[r] = bottom if bottom > 0 else 0
+                left[r + 1] = want - top
+                room[r + 1] = room[r] + prev[r] - top
+                r += 1
+                continue
+        r -= 1
+        while r >= 0 and added[r] == least[r]:
+            added[r] = 0
+            r -= 1
+        if r < 0:
+            return out
+        added[r] -= 1
+        left[r + 1] += 1
+        room[r + 1] += 1
+        r += 1
 
 
 def _lr_expand(lam, mu, outer):
@@ -181,19 +207,29 @@ def rim_hook_reduce(lam, k, n):
     the residues, in decreasing order, as its beta numbers, q is
     (sum beta - sum r)/n, and the sign is (-1)^((k-1)q + #{i<j : r_i < r_j}).
     Returns (partition, q_exponent, sign), or None for the zero class.
+    This is the validated entry; _rim_hook_reduce does the arithmetic.
     """
     lam = Partition(lam)
     if len(lam) > k:
         raise ValueError("class outside algebra: %s has more than %d rows" % (lam, k))
-    beta = [lam.row(i) + k - 1 - i for i in range(k)]
+    red = _rim_hook_reduce(lam + (0,) * (k - len(lam)), k, n)
+    return None if red is None else (Partition(red[0]), red[1], red[2])
+
+
+def _rim_hook_reduce(rows, k, n):
+    """rim_hook_reduce of k weakly decreasing row lengths, zeros kept, taken
+    as given: (box class as a plain tuple, q_exponent, sign), or None."""
+    beta = [rows[i] + k - 1 - i for i in range(k)]
     res = [b % n for b in beta]
     if len(set(res)) < k:
         return None
     q = (sum(beta) - sum(res)) // n
     swaps = sum(1 for i in range(k) for j in range(i + 1, k) if res[i] < res[j])
     res.sort(reverse=True)
-    box = Partition([r - (k - 1 - i) for i, r in enumerate(res)])
-    return box, q, (-1) ** ((k - 1) * q + swaps)
+    box = [r - (k - 1 - i) for i, r in enumerate(res)]
+    while box and not box[-1]:
+        box.pop()
+    return tuple(box), q, (-1) ** ((k - 1) * q + swaps)
 
 
 def quantum_product(lam, mu, k, n):
@@ -202,7 +238,9 @@ def quantum_product(lam, mu, k, n):
     Returns {(box class Partition, q exponent): coefficient}, nonzero
     coefficients only, keys in sorted order.  One LR enumeration gives
     every nu with at most k rows; since c^nu_{lam, mu} = c^nu_{mu, lam},
-    the smaller class is laid in as letters.
+    the smaller class is laid in as letters.  The enumerator's nu are
+    reduced as they come, k-row tuples that need no validation; only the
+    classes the product keeps become Partitions.
     """
     if not 0 < k < n:
         raise ValueError("need 0 < k < n, got k=%d n=%d" % (k, n))
@@ -215,10 +253,8 @@ def quantum_product(lam, mu, k, n):
     width = lam.row(0) + mu.row(0)
     acc = {}
     for nu, c in _lr_expand(lam, mu, (width,) * k).items():
-        red = rim_hook_reduce(nu, k, n)
-        if red is None:
-            continue
-        box_class, qexp, sign = red
-        key = (box_class, qexp)
-        acc[key] = acc.get(key, 0) + sign * c
-    return {key: acc[key] for key in sorted(acc) if acc[key]}
+        red = _rim_hook_reduce(nu, k, n)
+        if red is not None:
+            key = red[:2]
+            acc[key] = acc.get(key, 0) + red[2] * c
+    return {(Partition(box), q): acc[box, q] for box, q in sorted(acc) if acc[box, q]}

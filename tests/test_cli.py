@@ -13,6 +13,7 @@ from math import comb
 import pytest
 
 import vicalc
+from vicalc import cli
 from vicalc.cli import _execute, build_parser, main
 from vicalc.engine import InadmissibleQueryError
 
@@ -285,6 +286,27 @@ def test_corollary_report_refuses_what_count_maximal_refuses():
     assert (code, out, err) == (2, "", "vicalc: error: genus must be nonnegative\n")
 
 
+def test_corollary_report_refuses_a_claim_over_its_digit_budget(monkeypatch):
+    # the claim's digit estimate n*g*log10(n) is checked against CLAIM_DIGITS
+    # before anything is computed; at the budget the report still prints
+    assert cli.CLAIM_DIGITS == 100_000
+    code, out, err = run("corollary-report", "--n", "10", "--g", "10000", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "10,1,10000,1%s,1%s,true" % ("0" * 100_000, "0" * 10_000)
+
+    def fail(*args):
+        raise AssertionError("count_maximal ran")
+
+    monkeypatch.setattr(cli, "count_maximal", fail)
+    assert run("corollary-report", "--n", "10", "--g", "10001") == (
+        2, "", "vicalc: error: the claim n^(n*g) would have about 100010 digits,"
+        " over the budget of 100000\n")
+    # n = 3, g = 3,000,000 ran past 100 s before the budget
+    code, out, err = run("corollary-report", "--n", "3", "--g", "3000000", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "about 4294092 digits" in err
+
+
 def test_usage_errors_exit_2():
     assert run("frobnicate")[0] == 2
     # options a subcommand does not take are unrecognized arguments
@@ -494,6 +516,33 @@ def test_vi_and_count_max_import_only_the_engine():
     assert codes == [0, 0]
     unwanted = {"dataclasses", "vicalc.cyclotomic", "vicalc.symfunc", "vicalc.parabolic",
                 "vicalc.fusion"}
+    assert unwanted.isdisjoint(modules), sorted(unwanted & set(modules))
+
+
+def test_parabolic_runs_load_no_dataclasses():
+    # MarkedPoint and ParabolicData are frozen records, not dataclasses:
+    # dataclasses would load inspect, ast, dis and tokenize on every such line
+    script = (
+        "import json, sys\n"
+        "from vicalc.cli import main\n"
+        "codes = [main(['parabolic-degree', '--rank', '2', '--degree', '0',"
+        " '--point', '1/4:1,3/4:1', '--format', 'json']),\n"
+        "         main(['s-invariant', '--n', '4', '--k', '2', '--g', '1', '--eps', '2',"
+        " '--group-order', '2', '--weights', '1/4', '--format', 'json'])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(vicalc.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    degree_out, invariant_out, last = proc.stdout.splitlines()
+    assert (degree_out, invariant_out) == ('{"value":"1"}', '{"value":"5/2"}')
+    codes, modules = json.loads(last)
+    assert codes == [0, 0]
+    assert "vicalc.parabolic" in modules
+    unwanted = {"dataclasses", "inspect", "vicalc.cyclotomic", "vicalc.symfunc", "vicalc.fusion"}
     assert unwanted.isdisjoint(modules), sorted(unwanted & set(modules))
 
 

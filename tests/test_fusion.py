@@ -18,7 +18,7 @@ from vicalc.fusion import (
     fusion_algebra,
     oracle_value,
 )
-from vicalc.symfunc import Partition, lr_coefficient, rim_hook_reduce
+from vicalc.symfunc import Partition, _lr_expand, rim_hook_reduce
 
 
 def basis_vector(alg, i):
@@ -166,19 +166,26 @@ def test_pairing_inverse_is_inverse():
 
 
 def test_pairing_inverse_refuses_non_permutation(monkeypatch):
-    # each bad pairing is injected through the LR numbers or rim hooks that
-    # `dual` reads; the products come from quantum_product and stay sound
+    # each bad pairing is injected through the LR enumeration or rim hooks
+    # that `dual` reads; the products come from quantum_product and stay sound
     empty = Partition(())
-    lr, rim = lr_coefficient, rim_hook_reduce
+    lr, rim = _lr_expand, rim_hook_reduce
+
+    def scaled(factor, only_with_empty=False):
+        def fake(lam, mu, outer):
+            counts = lr(lam, mu, outer)
+            if only_with_empty and empty not in (lam, mu):
+                return counts
+            return {nu: factor * c for nu, c in counts.items()}
+        return fake
+
     bad = {
-        "doubled": ("lr_coefficient", lambda lam, mu, nu: 2 * lr(lam, mu, nu)),
+        "doubled": ("_lr_expand", scaled(2)),
         # sigma_2 * sigma_11 has no box term on Gr(2, 4): a second entry in both rows
-        "extra": ("lr_coefficient", lambda lam, mu, nu: 1 if {lam, mu} ==
-                  {(2,), (1, 1)} else lr(lam, mu, nu)),
-        "negated": ("lr_coefficient", lambda lam, mu, nu: -lr(lam, mu, nu)
-                    if empty in (lam, mu) else lr(lam, mu, nu)),
-        "zero_row": ("lr_coefficient", lambda lam, mu, nu: 0
-                     if empty in (lam, mu) else lr(lam, mu, nu)),
+        "extra": ("_lr_expand", lambda lam, mu, outer: {**lr(lam, mu, outer), (2, 2): 1}
+                  if {lam, mu} == {(2,), (1, 1)} else lr(lam, mu, outer)),
+        "negated": ("_lr_expand", scaled(-1, only_with_empty=True)),
+        "zero_row": ("_lr_expand", scaled(0, only_with_empty=True)),
         # a preimage that the rim hooks kill, or send elsewhere than the box
         "killed": ("rim_hook_reduce", lambda nu, k, n: None),
         "elsewhere": ("rim_hook_reduce", lambda nu, k, n: (empty,) + rim(nu, k, n)[1:]),
@@ -197,6 +204,23 @@ def test_pairing_inverse_refuses_non_permutation(monkeypatch):
         assert "dual" not in vars(alg) and alg._handle_powers == [], name
         monkeypatch.undo()
     assert FusionAlgebra(2, 4).dual == fusion_algebra(2, 4).dual
+
+
+def test_pairing_check_enumerates_once_per_pair(monkeypatch):
+    # Gr(4, 8): the 259 pairs i <= j with |lam_i| + |lam_j| = 16 + 8s, s <= 2, each
+    # checked over all its box preimages from one LR enumeration; a check that
+    # enumerated per preimage would make more calls (445 on this shape)
+    expected = FusionAlgebra(4, 8).dual
+    calls = []
+    monkeypatch.setattr(fusion, "_lr_expand",
+                        lambda lam, mu, outer: calls.append((lam, mu)) or _lr_expand(lam, mu, outer))
+    alg = FusionAlgebra(4, 8)
+    assert alg.dual == expected
+    pairs = {(i, j) for i, lam in enumerate(alg.basis) for j, mu in enumerate(alg.basis)
+             if i <= j and sum(lam) + sum(mu) in (16, 24, 32)}
+    assert len(pairs) == len(calls) == len(set(calls)) == 259
+    # the smaller class is laid in as letters
+    assert all(sum(mu) <= sum(lam) for lam, mu in calls)
 
 
 def test_correlator_matches_genus_loop():

@@ -288,6 +288,33 @@ def test_kernel_returns_the_signed_sum_of_the_full_range():
             backend.subset_power_sum(6, 3, 1, (), lo, hi)
 
 
+def test_kernel_takes_one_power_per_repeated_column():
+    # long runs of one column, alone or next to another: the kernel raises each
+    # sigma_j(S) to its multiplicity once, and vi_reference multiplies every
+    # entry out, over the cyclotomic field
+    cases = 0
+    for n in range(3, 8):
+        for k in range(1, n):
+            for g in (0, 1, 2):
+                for j in range(1, k + 1):
+                    for m in range(2, 12):
+                        for extra in ((), (1,), (k,)):
+                            q = InvariantQuery(n, k, g, 0, monomial=(j,) * m + extra,
+                                               convention="dual")
+                            e, rest = divmod(required_weight(q) - sum(q.columns), n)
+                            if rest:
+                                continue
+                            q = q.replace(e=e)
+                            total = backend.subset_power_sum(n, k, g, q.columns, 0,
+                                                             comb(n - 1, k - 1))
+                            value = Fraction(sign_factor(e, k) * total)
+                            if g == 0:
+                                value /= n ** k
+                            assert value == vi_reference(q).value, q
+                            cases += 1
+    assert cases == 933
+
+
 def _necklaces_by_filter(n, k):
     """The reference generator: walk every subset {0} + T and keep those
     whose gap word is the least of its rotations."""
