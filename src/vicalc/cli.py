@@ -3,11 +3,13 @@
 Options by subcommand: every query subcommand (vi, count-max, qh-table,
 parabolic-degree, s-invariant, corollary-report) takes --format; only vi
 takes --convention and --workers; batch takes only its path.  One table,
-_OPTIONS, lists every query option with its reader, default or
-requirement, choices and help.  build_parser makes the argparse parser
-from it, once per process, and _job_namespace reads each batch line with
-it into the namespace that line's command line would parse to, refusing
-what argparse would refuse.  Every subcommand but qh-table prints one
+_OPTIONS, lists every query subcommand with its runner and help, and
+every option with its reader, default or requirement, choices and help;
+a list default makes an option repeatable.  build_parser makes the
+argparse parser from it, once per process, _dispatch runs a subcommand
+through it, and _job_namespace reads each batch line with it into the
+namespace that line's command line would parse to, refusing what
+argparse would refuse.  Every subcommand but qh-table prints one
 record, rendered by _record; the text form of corollary-report is its
 own three lines.  count-max always reports the dual spelling of its
 query.  corollary-report refuses, before computing, a claim n^(n*g)
@@ -26,6 +28,9 @@ List options (--monomial, --lhs, --rhs, --exponents, --weights, and each
 --point) share one grammar, read by _list: entries are separated by
 commas, whitespace around an entry is ignored, "" is the empty list, and
 an empty entry (",", "1,,1", a trailing comma, a blank) is a ValueError.
+A rational entry and a weight:multiplicity entry are read by
+vicalc.parabolic's read_rational and read_flag, the one reader of
+rational text, which refuses exponent notation.
 
 Rationals are serialized as decimal-free strings ("6", "-7/3") in every
 machine format so exactness survives round trips, and they print at any
@@ -73,21 +78,6 @@ def _list(text, read):
     if "" in entries:
         raise ValueError("empty entry in the list %r" % (text,))
     return [read(entry) for entry in entries]
-
-
-def _fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("expected a rational like 1/2, got %r" % (text,))
-
-
-def _flag(text):
-    """A marked point's weight:multiplicity entry."""
-    weight, colon, mult = text.partition(":")
-    if not colon:
-        raise ValueError("marked point entry %r is not weight:multiplicity" % (text,))
-    return _fraction(weight), int(mult)
 
 
 def worker_count(text):
@@ -258,9 +248,9 @@ def _run_qh_table(ns):
 
 
 def _run_parabolic_degree(ns):
-    from .parabolic import MarkedPoint, ParabolicData, parabolic_degree
+    from .parabolic import MarkedPoint, ParabolicData, parabolic_degree, read_flag
 
-    points = [_list(spec, _flag) for spec in ns.point]
+    points = [_list(spec, read_flag) for spec in ns.point]
     data = ParabolicData(
         rank=ns.rank,
         degree=ns.degree,
@@ -278,14 +268,14 @@ def _run_parabolic_degree(ns):
 
 
 def _run_s_invariant(ns):
-    from .parabolic import s_invariant, weights_from_equivariant
+    from .parabolic import read_rational, s_invariant, weights_from_equivariant
 
     if ns.weights is not None and ns.exponents is not None:
         raise ValueError("give --weights or --exponents, not both")
     if ns.exponents is not None:
         weights = weights_from_equivariant(ns.group_order, _list(ns.exponents, int))
     else:
-        weights = _list(ns.weights, _fraction)
+        weights = _list(ns.weights, read_rational)
     value = s_invariant(ns.n, ns.k, ns.g, ns.eps, ns.group_order, weights)
     return _record(ns, [
         ("n", ns.n), ("k", ns.k), ("g", ns.g), ("eps", ns.eps),
@@ -320,28 +310,18 @@ def _run_corollary_report(ns):
     return _record(ns, fields, [name for name, _ in fields])
 
 
-_RUNNERS = {
-    "vi": _run_vi,
-    "count-max": _run_count_max,
-    "qh-table": _run_qh_table,
-    "parabolic-degree": _run_parabolic_degree,
-    "s-invariant": _run_s_invariant,
-    "corollary-report": _run_corollary_report,
-}
-
-
 # ---------------------------------------------------------------------------
 # the option table, and the parser and the job reader built from it
 
 _REQUIRED = object()  # the default of an option that must be given
 _FORMAT = ("format", str, "text", ("text", "json", "csv"), None)
 
-# Each query subcommand's help and options.  An option is (name, reader,
-# default or _REQUIRED, choices, help); a list default makes it repeatable.
-# build_parser makes --name of each row, and _job_namespace reads a job's
-# parameters with the same rows.
+# Each query subcommand's runner, help and options.  An option is (name,
+# reader, default or _REQUIRED, choices, help); a list default makes it
+# repeatable.  build_parser makes --name of each row, _job_namespace reads a
+# job's parameters with the same rows, and _dispatch calls the runner.
 _OPTIONS = {
-    "vi": ("genus-g invariant on the degree-0 locus", (
+    "vi": (_run_vi, "genus-g invariant on the degree-0 locus", (
         _FORMAT,
         ("convention", str, "paper", CONVENTIONS, None),
         ("workers", worker_count, 0, None, "accepted for compatibility; has no effect"),
@@ -352,27 +332,28 @@ _OPTIONS = {
         ("d", int, 0, None, None),
         ("monomial", str, "", None, "insertion subscripts, comma separated"),
     )),
-    "count-max": ("maximal-subbundle count m(n,d,k,g)", (
+    "count-max": (_run_count_max, "maximal-subbundle count m(n,d,k,g)", (
         _FORMAT,
         ("n", int, _REQUIRED, None, None),
         ("d", int, _REQUIRED, None, None),
         ("k", int, _REQUIRED, None, None),
         ("g", int, _REQUIRED, None, None),
     )),
-    "qh-table": ("quantum product expansions over the box basis", (
+    "qh-table": (_run_qh_table, "quantum product expansions over the box basis", (
         _FORMAT,
         ("k", int, _REQUIRED, None, None),
         ("n", int, _REQUIRED, None, None),
         ("lhs", str, None, None, "left partition, comma separated"),
         ("rhs", str, None, None, "right partition, comma separated"),
     )),
-    "parabolic-degree": ("ordinary degree plus weighted flag contributions", (
+    "parabolic-degree": (_run_parabolic_degree,
+                         "ordinary degree plus weighted flag contributions", (
         _FORMAT,
         ("rank", int, _REQUIRED, None, None),
         ("degree", int, _REQUIRED, None, None),
         ("point", str, [], None, "marked point as weight:mult,weight:mult,..."),
     )),
-    "s-invariant": ("k(n-k)(g-1) + eps + N * sum of weights", (
+    "s-invariant": (_run_s_invariant, "k(n-k)(g-1) + eps + N * sum of weights", (
         _FORMAT,
         ("n", int, _REQUIRED, None, None),
         ("k", int, _REQUIRED, None, None),
@@ -382,7 +363,8 @@ _OPTIONS = {
         ("weights", str, None, None, "rationals, comma separated"),
         ("exponents", str, None, None, "equivariant exponents, converted via --group-order"),
     )),
-    "corollary-report": ("published n^(ng) claim next to the formula value", (
+    "corollary-report": (_run_corollary_report,
+                         "published n^(ng) claim next to the formula value", (
         _FORMAT,
         ("n", int, _REQUIRED, None, None),
         ("g", int, _REQUIRED, None, None),
@@ -398,7 +380,7 @@ def build_parser():
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, options) in _OPTIONS.items():
+    for command, (_, command_help, options) in _OPTIONS.items():
         p = sub.add_parser(command, allow_abbrev=False, help=command_help)
         for name, read, default, choices, option_help in options:
             required = default is _REQUIRED
@@ -418,54 +400,51 @@ def _job_field(job, key, kind, default=None):
     return value
 
 
-_JOB_KEYS = frozenset(("subcommand", "output_format", "convention", "parameters"))
-# parameters that are not query options: --help prints to stdout, and --format
-# or --convention would override the job's own key
-_REFUSED_PARAMETERS = {
-    "help": "a job prints no help",
-    "format": 'give it as the job\'s "output_format"',
-    "convention": 'give it as the job\'s "convention"',
-}
+# the job keys that stand for an option, which its parameters may not give
+_JOB_OPTIONS = {"output_format": "format", "convention": "convention"}
+_JOB_KEYS = frozenset(("subcommand", "parameters", *_JOB_OPTIONS))
+# --help, which prints to stdout, is not a query option either
+_REFUSED_PARAMETERS = {"help": "a job prints no help"}
+_REFUSED_PARAMETERS.update((option, 'give it as the job\'s "%s"' % key)
+                           for key, option in _JOB_OPTIONS.items())
 # argparse (3.10, 3.11) takes a value for an option, and so refuses it as one,
 # when it starts with "-", has more than one character and no space, and does
 # not match this pattern
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _job_texts(job):
-    """The subcommand of a job and its (option, text) pairs, in command-line
-    order: the format, the convention if given, then the parameters by key."""
+def _job_namespace(job):
+    """The namespace a job's command line parses to, read with the option
+    table: the same values, and a ValueError for every line argparse refuses.
+
+    That command line is the job's output_format and convention, then its
+    parameters by key.  A list gives one option per item where the option
+    repeats, and else one option, its items joined with ",".  The job is
+    checked first, then every parameter for a refusal, then each option in
+    command-line order.
+    """
     if not isinstance(job, dict):
         raise ValueError("job line must be a JSON object")
     unknown = sorted(set(job) - _JOB_KEYS)
     if unknown:
         raise ValueError("unknown job key %s" % ", ".join(map(repr, unknown)))
     sub = job.get("subcommand")
-    if not isinstance(sub, str) or sub not in _RUNNERS:
+    if not isinstance(sub, str) or sub not in _OPTIONS:
         raise ValueError("unknown subcommand %r" % (sub,))
-    texts = [("format", _job_field(job, "output_format", str, "text"))]
-    if "convention" in job:
-        texts.append(("convention", _job_field(job, "convention", str)))
+    options = _OPTIONS[sub][2]
+    rows = {row[0]: row for row in options}
+    texts = [(option, _job_field(job, key, str))
+             for key, option in _JOB_OPTIONS.items() if key in job]
     for key, value in sorted(_job_field(job, "parameters", dict, {}).items()):
         if key in _REFUSED_PARAMETERS:
             raise ValueError("parameter %r refused: %s" % (key, _REFUSED_PARAMETERS[key]))
         name = str(key).replace("_", "-")
-        if isinstance(value, (list, tuple)):
-            if key == "point":
-                texts += [(name, str(item)) for item in value]
-            else:
-                texts.append((name, ",".join(str(v) for v in value)))
-        else:
+        if not isinstance(value, (list, tuple)):
             texts.append((name, str(value)))
-    return sub, texts
-
-
-def _job_namespace(job):
-    """The namespace a job's command line parses to, read with the option
-    table: the same values, and a ValueError for every line argparse refuses."""
-    sub, texts = _job_texts(job)
-    options = _OPTIONS[sub][1]
-    rows = {row[0]: row for row in options}
+        elif name in rows and isinstance(rows[name][2], list):
+            texts += [(name, str(item)) for item in value]
+        else:
+            texts.append((name, ",".join(str(v) for v in value)))
     values = {}
     for name, text in texts:
         if name not in rows:
@@ -531,7 +510,7 @@ def _dispatch(ns):
     if ns.command == "batch":
         return _execute_batch(ns.path)
     try:
-        return 0, _RUNNERS[ns.command](ns), ""
+        return 0, _OPTIONS[ns.command][0](ns), ""
     except InadmissibleQueryError as ex:  # first: it is a ValueError
         return 3, "", "vicalc: inadmissible query: %s\n" % ex
     except ValueError as ex:

@@ -65,13 +65,6 @@ class FusionAlgebra:
             raise ValueError("class outside box: %s in %dx%d" % (p, self.k, self.cols))
         return self.index[p]
 
-    def product_vector(self, i, j):
-        """sigma_i * sigma_j at q = 1, as a coefficient vector over the basis."""
-        out = [0] * self.dim
-        for t, c in self._terms(i, j):
-            out[t] = c
-        return out
-
     def _terms(self, i, j):
         """sigma_i * sigma_j at q = 1 as its nonzero (basis index, coefficient)
         terms, one quantum_product per unordered pair."""

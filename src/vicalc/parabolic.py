@@ -6,6 +6,13 @@ A float weight is a TypeError, as a float cyclotomic coefficient is, and
 every integer is read with operator.index.  MarkedPoint and ParabolicData
 are frozen records in the engine's idiom, not dataclasses, so that loading
 this module does not load dataclasses and inspect.
+
+read_rational is the one reader of rational text, for the command line,
+batch lines and string weights given here alike: an integer, p/q or a
+decimal.  It refuses exponent notation, because Fraction("1e-100000000")
+builds 10^100000000 before anything can refuse it, while an integer or a
+decimal is bounded by the int-from-text digit limit.  read_flag reads a
+marked point's weight:multiplicity entry with it.
 """
 
 import operator
@@ -14,12 +21,31 @@ from fractions import Fraction
 from .engine import _Record
 
 
+def read_rational(text):
+    """Rational text, "3", "-7/3" or "0.25", as an exact Fraction; a ValueError
+    for anything else, exponent notation ("1e-5") included."""
+    if "e" not in text and "E" not in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("expected a rational like 1/2, got %r" % (text,))
+
+
+def read_flag(text):
+    """A marked point's weight:multiplicity entry, as (Fraction, int)."""
+    weight, colon, mult = text.partition(":")
+    if not colon:
+        raise ValueError("marked point entry %r is not weight:multiplicity" % (text,))
+    return read_rational(weight), int(mult)
+
+
 def _weight(w):
     """An int, Fraction or string like "1/2" as an exact Fraction in [0, 1);
     no float."""
     if isinstance(w, float):
         raise TypeError("weights must be exact rationals, not float: %r" % (w,))
-    w = Fraction(w)
+    w = read_rational(w) if isinstance(w, str) else Fraction(w)
     if not 0 <= w < 1:
         raise ValueError("weight %s outside [0, 1)" % (w,))
     return w

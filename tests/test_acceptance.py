@@ -10,7 +10,7 @@ arithmetic and a failure low in the file points at plumbing.
 import json
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 from random import Random
 
@@ -26,19 +26,7 @@ from vicalc.engine import (
 )
 from vicalc.fusion import correlator_genus_g, oracle_value
 
-
-def admissible_suite(n, k, g, max_len):
-    """Every admissible dual-convention monomial up to the given length."""
-    out = []
-    shift = k * (n - k) * (1 - g)
-    for m in range(max_len + 1):
-        for mono in combinations_with_replacement(range(1, k + 1), m):
-            if (shift - sum(mono)) % n:
-                continue
-            e = (shift - sum(mono)) // n
-            out.append(InvariantQuery(n=n, k=k, g=g, e=e, monomial=mono,
-                                      convention="dual"))
-    return out
+from test_vi_engine import admissible_queries
 
 
 def paper_twin(query):
@@ -76,7 +64,7 @@ def test_oracle_agrees_on_every_small_query():
     for n in range(2, 7):
         for k in range(1, n):
             for g in (0, 1, 2):
-                for q in admissible_suite(n, k, g, 8):
+                for q in admissible_queries(n, k, g, 8):
                     for query in (q, paper_twin(q)):
                         assert oracle_value(query) == vi_invariant(query).value, query
                     checked += 2
@@ -109,7 +97,7 @@ def test_twisting_by_a_line_bundle_changes_nothing():
     for n in range(2, 7):
         for k in range(1, n):
             for g in (0, 1, 2):
-                for q in admissible_suite(n, k, g, 6):
+                for q in admissible_queries(n, k, g, 6):
                     pool.append(q)
                     pool.append(paper_twin(q))
     assert len(pool) >= 100
@@ -146,7 +134,7 @@ def test_tuple_sum_is_k_factorial_times_subset_sum():
     for n in range(2, 6):
         for k in range(1, n):
             for g in (0, 1, 2):
-                queries = admissible_suite(n, k, g, 4)
+                queries = admissible_queries(n, k, g, 4)
                 if not queries:
                     continue
                 q = queries[len(queries) // 2]
@@ -165,7 +153,7 @@ def test_every_admissible_value_is_an_integer():
     for n in range(2, 7):
         for k in range(1, n):
             for g in (0, 1, 2):
-                for q in admissible_suite(n, k, g, 8):
+                for q in admissible_queries(n, k, g, 8):
                     r = vi_invariant(q)
                     assert r.integral and r.value.denominator == 1, q
     for n in range(2, 9):

@@ -734,6 +734,53 @@ def test_batch_parameters_reach_only_query_options(tmp_path):
     assert len(err.splitlines()) == 9
 
 
+def test_the_option_table_decides_which_options_repeat(monkeypatch):
+    params = {"n": 4, "k": 2, "g": 1, "e": 0}
+    # a list given to an option that does not repeat is one option, its items joined
+    assert cli._job_namespace({"subcommand": "vi",
+                               "parameters": dict(params, monomial=[1, 1])}).monomial == "1,1"
+    # no name repeats by itself: vi has no "point" row, so even an empty list is refused
+    with pytest.raises(ValueError, match="^vi takes no --point$"):
+        cli._job_namespace({"subcommand": "vi", "parameters": dict(params, point=[])})
+    # a row with a list default repeats, whatever its name: one option per item
+    runner, command_help, options = cli._OPTIONS["vi"]
+    monkeypatch.setitem(cli._OPTIONS, "vi",
+                        (runner, command_help, options + (("tag", str, [], None, None),)))
+    ns = cli._job_namespace({"subcommand": "vi", "parameters": dict(params, tag=["a", "b"])})
+    assert ns.tag == ["a", "b"]
+    assert cli._job_namespace({"subcommand": "vi", "parameters": params}).tag == []
+
+
+def test_rationals_in_exponent_notation_are_refused(tmp_path):
+    # Fraction("1e-100000000") builds 10^100000000 before anything can refuse
+    # it, and 1e-5000 failed late, when the record printed the weight
+    s_inv = ("s-invariant", "--n", "4", "--k", "2", "--g", "1", "--eps", "2",
+             "--group-order", "2", "--format", "json")
+    point = ("parabolic-degree", "--rank", "1", "--degree", "0", "--point")
+    for text in ("1e-100000000", "1e-5000", "1E-1", "2.5e-1", "0e0"):
+        refusal = "vicalc: error: expected a rational like 1/2, got %r\n" % text
+        assert run(*s_inv, "--weights", text) == (2, "", refusal)
+        assert run(*point, text + ":1") == (2, "", refusal)
+    # integers, p/q and decimals are read as before
+    for text in ("1/4", "0.25", "00.250"):
+        assert run(*s_inv, "--weights", text) == (0, '{"value":"5/2"}\n', "")
+    assert run(*point, "0:1", "--format", "json") == (0, '{"value":"0"}\n', "")
+    # as batch lines: each refused, the good lines around them still run
+    good = json.dumps({"subcommand": "vi", "output_format": "json",
+                       "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}})
+    bad = [{"subcommand": "s-invariant", "parameters": {"n": 4, "k": 2, "g": 1, "eps": 2,
+                                                         "group_order": 2,
+                                                         "weights": ["1e-100000000"]}},
+           {"subcommand": "parabolic-degree", "parameters": {"rank": 1, "degree": 0,
+                                                              "point": ["1e-5000:1"]}}]
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join([good] + [json.dumps(job) for job in bad] + [good]) + "\n")
+    assert run("batch", str(path)) == (
+        2, '{"value":"6","integral":true}\n' * 2,
+        "batch line 2: vicalc: error: expected a rational like 1/2, got '1e-100000000'\n"
+        "batch line 3: vicalc: error: expected a rational like 1/2, got '1e-5000'\n")
+
+
 def test_options_are_not_abbreviated():
     query = ("vi", "--n", "4", "--k", "2", "--g", "0", "--e", "0")
     assert run(*query, "--monomial", "1,1,1,1", "--convention", "dual", "--format", "json") == \

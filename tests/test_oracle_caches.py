@@ -7,7 +7,7 @@ same from a cold table and a warm one, in any order of queries.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
@@ -15,6 +15,8 @@ import pytest
 from vicalc import backend, cyclotomic, engine, fusion
 from vicalc.engine import InvariantQuery, reference_term, vi_invariant, vi_reference
 from vicalc.fusion import classes_for_query, correlator_via_spectrum
+
+from test_vi_engine import admissible_queries
 
 
 TABLES = (backend._modulus, engine._d_power, engine._elementary,
@@ -35,18 +37,8 @@ def table_sizes():
 def sweep_range(max_n, max_g):
     """Every admissible dual query with a monomial of length <= 5, n <= max_n
     and g <= max_g: the benchmark sweep's reference and spectral ranges."""
-    out = []
-    for n in range(2, max_n + 1):
-        for k in range(1, n):
-            for g in range(max_g + 1):
-                shift = k * (n - k) * (1 - g)
-                for length in range(6):
-                    for mono in combinations_with_replacement(range(1, k + 1), length):
-                        e, rest = divmod(shift - sum(mono), n)
-                        if not rest:
-                            out.append(InvariantQuery(n, k, g, e, monomial=mono,
-                                                      convention="dual"))
-    return out
+    return [q for n in range(2, max_n + 1) for k in range(1, n) for g in range(max_g + 1)
+            for q in admissible_queries(n, k, g, 5)]
 
 
 def count_inverses(monkeypatch):

@@ -1,5 +1,6 @@
 """Parabolic weights, degrees and s-invariants."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from vicalc.parabolic import (
     MarkedPoint,
     ParabolicData,
     parabolic_degree,
+    read_flag,
+    read_rational,
     s_invariant,
     weights_from_equivariant,
 )
@@ -50,6 +53,24 @@ def test_floats_are_refused():
     p = MarkedPoint((0, "1/10", Fraction(1, 2)), (1, 1, 1))
     assert p.weights == (0, Fraction(1, 10), Fraction(1, 2))
     assert s_invariant(4, 2, 0, 1, 2, ["1/10", Fraction(1, 2), 0]) == Fraction(-9, 5)
+
+
+def test_rational_text_in_exponent_notation_is_refused():
+    # one reader for every entry: Fraction would expand 1e-100000000 to 10^100000000
+    for text in ("1e-100000000", "1e-5", "2.5E-1", "0e0"):
+        refusal = "^expected a rational like 1/2, got %s$" % re.escape(repr(text))
+        for read in (read_rational, lambda t: read_flag(t + ":1"),
+                     lambda t: MarkedPoint((t,), (1,)), lambda t: s_invariant(4, 2, 1, 2, 2, [t])):
+            with pytest.raises(ValueError, match=refusal):
+                read(text)
+    # integers, p/q and decimals are read exactly
+    assert [read_rational(t) for t in ("3", "-7/3", "0.25", " 1/2 ")] == \
+        [3, Fraction(-7, 3), Fraction(1, 4), Fraction(1, 2)]
+    assert read_flag("1/4:2") == (Fraction(1, 4), 2)
+    assert MarkedPoint(("0.25",), (1,)).weights == (Fraction(1, 4),)
+    for text in ("1/0", "x", "", "1/2/3"):
+        with pytest.raises(ValueError, match="^expected a rational like 1/2"):
+            read_rational(text)
 
 
 def test_flag_sum_must_match_rank():

@@ -12,40 +12,27 @@ import csv
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vicalc.cli import _execute, _fraction, _list  # noqa: E402
+from vicalc.cli import _execute, _list  # noqa: E402
 from vicalc.engine import (  # noqa: E402
     CONVENTIONS,
-    InvariantQuery,
     required_weight,
     vi_invariant,
 )
 from vicalc.fusion import oracle_value  # noqa: E402
+from vicalc.parabolic import read_rational  # noqa: E402
 
-
-@lru_cache(maxsize=None)
-def admissible(n, k, g, convention, max_len=5):
-    """Every admissible d = 0 query with a monomial of length <= max_len."""
-    out = []
-    for m in range(max_len + 1):
-        for mono in combinations_with_replacement(range(1, k + 1), m):
-            q = InvariantQuery(n, k, g, 0, monomial=mono, convention=convention)
-            e, rest = divmod(required_weight(q) - sum(q.columns), n)
-            if not rest:
-                out.append(q.replace(e=e))
-    return out
+from test_vi_engine import admissible_queries  # noqa: E402
 
 
 queries = st.tuples(
     st.integers(7, 9), st.sampled_from((2, 3)), st.integers(0, 3), st.sampled_from(CONVENTIONS),
-).flatmap(lambda shape: st.sampled_from(admissible(*shape)))
+).flatmap(lambda shape: st.sampled_from(admissible_queries(*shape[:3], 5, shape[3])))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -72,7 +59,7 @@ def vi_jobs(draw):
     k = draw(st.integers(1, n - 1))
     g = draw(st.integers(0, 3))
     convention = draw(st.sampled_from(CONVENTIONS))
-    query = draw(st.sampled_from(admissible(n, k, g, convention, n - 1)))
+    query = draw(st.sampled_from(admissible_queries(n, k, g, n - 1, convention)))
     monomial = list(query.monomial)
     a = draw(st.sampled_from((0, 0, 1, 2)))
     b = draw(st.integers(0, min(monomial.count(k), n - 1))) if a else 0
@@ -125,7 +112,7 @@ weights = st.fractions(0, 1, max_denominator=60).filter(lambda w: w < 1)
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.one_of(st.tuples(st.lists(st.integers(-10 ** 30, 10 ** 30)), st.just(int)),
-                 st.tuples(st.lists(st.fractions()), st.just(_fraction))),
+                 st.tuples(st.lists(st.fractions()), st.just(read_rational))),
        blank, blank)
 def test_a_joined_list_parses_back_to_itself(case, before, after):
     values, read = case

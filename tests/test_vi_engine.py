@@ -4,6 +4,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, gcd
 
@@ -30,8 +31,11 @@ from vicalc.fusion import classes_for_query, oracle_value
 ROUTES = (vi_invariant, vi_reference, oracle_value)
 
 
+@lru_cache(maxsize=None)
 def admissible_queries(n, k, g, max_len, convention="dual"):
-    """Every admissible monomial up to the given length, as queries."""
+    """Every admissible d = 0 query with a monomial of length <= max_len, by
+    length and then lexicographically: the one enumerator the test modules
+    share.  Cached, for the Hypothesis strategies, so it is a tuple."""
     out = []
     for m in range(max_len + 1):
         for mono in combinations_with_replacement(range(1, k + 1), m):
@@ -39,7 +43,7 @@ def admissible_queries(n, k, g, max_len, convention="dual"):
             e, rest = divmod(required_weight(q) - sum(q.columns), n)
             if not rest:
                 out.append(q.replace(e=e))
-    return out
+    return tuple(out)
 
 
 def test_query_validation():
