@@ -5,9 +5,11 @@ zeta^(phi(n)-1) of Q[x]/(Phi_n(x)): a tuple `num` of integer numerators
 over one denominator `den` > 0, in lowest terms (gcd(den, *num) == 1, so
 den == 1 exactly on Z[zeta]).  Arithmetic runs on integers only; a product
 multiplies the denominators and reduces once by gcd, skipped when den == 1.
-Coefficients must be int or Fraction: no floating point enters here.
+Elements come only from zeta(n, t) and arithmetic with ints and Fractions,
+so _reduced is the one normalizer: any other operand, a float included, is
+a TypeError, and no floating point enters here.
 
-The inverse is by the Galois norm: x^-1 = adj / N(x), where
+Division is inverse (x ** -m), by the Galois norm: x^-1 = adj / N(x), where
 adj = prod_{j in (Z/n)^x, j != 1} sigma_j(x) and N(x) = x * adj is rational.
 
 Phi_n is the exact integer quotient (x^n - 1) / prod_{d | n, d < n} Phi_d(x).
@@ -15,7 +17,7 @@ Per-order data is cached in a module table.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 # order -> (phi coefficients low-to-high, degree, power rows, phi tail)
 # power rows: tuple indexed by t < n giving the basis coordinates of
@@ -75,11 +77,6 @@ def cyclotomic_polynomial(n):
     return phi
 
 
-def _table(n):
-    cyclotomic_polynomial(n)
-    return _TABLES[n]
-
-
 _new = object.__new__
 _set = object.__setattr__
 
@@ -112,20 +109,6 @@ class CyclotomicNumber:
     """An element of Q(zeta_n): integer power-basis numerators over one denominator."""
 
     __slots__ = ("order", "num", "den")
-
-    def __init__(self, order, coeffs):
-        deg = _table(order)[1]
-        cs = list(coeffs)
-        if len(cs) > deg:
-            raise ValueError("coefficient vector longer than the basis")
-        if not all(isinstance(c, (int, Fraction)) for c in cs):
-            raise TypeError("cyclotomic coefficients must be int or Fraction: %r" % (cs,))
-        # each Fraction is in lowest terms, so over the lcm no prime divides all
-        den = lcm(*(c.denominator for c in cs))
-        num = [c.numerator * (den // c.denominator) for c in cs] + [0] * (deg - len(cs))
-        _set(self, "order", order)
-        _set(self, "num", tuple(num))
-        _set(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
@@ -201,18 +184,6 @@ class CyclotomicNumber:
                     prod[t - deg + j] -= c * p
         del prod[deg:]
         return _reduced(n, prod, self.den * bd)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self.inverse() * other
 
     def __pow__(self, exp):
         if not isinstance(exp, int):
@@ -294,4 +265,5 @@ class CyclotomicNumber:
 
 def zeta(n, power=1):
     """The root of unity zeta_n^power as a CyclotomicNumber."""
-    return _make(n, _table(n)[2][power % n], 1)
+    cyclotomic_polynomial(n)
+    return _make(n, _TABLES[n][2][power % n], 1)

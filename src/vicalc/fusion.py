@@ -14,7 +14,9 @@ is kept sparse, as its nonzero terms, and multiply walks only those.
 A second, spectral route evaluates the same trace through the algebra
 characters (Schur values at k-subsets of the n-th roots of (-1)^(k-1)),
 with each idempotent counit read off the handle element's character;
-tests hold the two routes equal.
+tests hold the two routes equal.  Only this route loads the cyclotomic
+field, when it first builds its points; the LR route, and so
+oracle_value, loads none.
 
 What the queries reuse is computed once per process, in the standard
 library's memo idioms: fusion_algebra and _spectral_weights are
@@ -29,7 +31,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 
-from .cyclotomic import zeta
 from .engine import _require_admissible
 from .symfunc import (
     Partition,
@@ -207,6 +208,8 @@ def _spectrum_points(k, n):
     so the arithmetic runs in Q(zeta_2n); for odd k plain n-th roots suffice.
     Each point is a list of CyclotomicNumber roots, which carry their field.
     """
+    from .cyclotomic import zeta
+
     if k % 2:
         order, exps = n, list(range(n))
     else:

@@ -2,7 +2,7 @@
 
 All weights are exact rationals; nothing here may introduce a float,
 because the weight sums are degree shifts and must stay exact.
-A float weight is a TypeError, as a float cyclotomic coefficient is, and
+A float weight is a TypeError, as a float cyclotomic operand is, and
 every integer is read with operator.index.  MarkedPoint and ParabolicData
 are frozen records in the engine's idiom, not dataclasses, so that loading
 this module does not load dataclasses and inspect.
@@ -37,7 +37,11 @@ def read_flag(text):
     weight, colon, mult = text.partition(":")
     if not colon:
         raise ValueError("marked point entry %r is not weight:multiplicity" % (text,))
-    return read_rational(weight), int(mult)
+    weight = read_rational(weight)
+    try:
+        return weight, int(mult)
+    except ValueError:
+        raise ValueError("marked point entry %r has no integer multiplicity" % (text,)) from None
 
 
 def _weight(w):

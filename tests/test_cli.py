@@ -478,15 +478,19 @@ def test_no_query_starts_a_process(monkeypatch, tmp_path):
     assert (code, out, err) == (0, '{"value":"28","integral":true}\n', "")
 
 
-def test_module_entry_point_runs():
+def fresh_python(*args):
+    """Run python with args in a fresh interpreter that imports this vicalc."""
     src = os.path.dirname(os.path.dirname(vicalc.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "vicalc.cli", "vi", "--n", "4", "--k", "2", "--g", "0",
-         "--e", "0", "--monomial", "1,1,1,1", "--convention", "dual", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs():
+    proc = fresh_python("-m", "vicalc.cli", "vi", "--n", "4", "--k", "2", "--g", "0",
+                        "--e", "0", "--monomial", "1,1,1,1", "--convention", "dual",
+                        "--format", "json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["value"] == "2"
 
@@ -503,11 +507,7 @@ def test_vi_and_count_max_import_only_the_engine():
         " '--format', 'json'])]\n"
         "print(json.dumps([codes, sorted(sys.modules)]))\n"
     )
-    src = os.path.dirname(os.path.dirname(vicalc.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python("-c", script)
     assert (proc.returncode, proc.stderr) == (0, "")
     vi_out, count_out, last = proc.stdout.splitlines()
     assert (vi_out, count_out) == ('{"value":"6","integral":true}',
@@ -531,11 +531,7 @@ def test_parabolic_runs_load_no_dataclasses():
         " '--group-order', '2', '--weights', '1/4', '--format', 'json'])]\n"
         "print(json.dumps([codes, sorted(sys.modules)]))\n"
     )
-    src = os.path.dirname(os.path.dirname(vicalc.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python("-c", script)
     assert (proc.returncode, proc.stderr) == (0, "")
     degree_out, invariant_out, last = proc.stdout.splitlines()
     assert (degree_out, invariant_out) == ('{"value":"1"}', '{"value":"5/2"}')
@@ -556,11 +552,7 @@ def test_qh_table_imports_symfunc_but_not_the_field():
         " '--format', 'json'])\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    src = os.path.dirname(os.path.dirname(vicalc.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python("-c", script)
     assert (proc.returncode, proc.stderr) == (0, "")
     out, last = proc.stdout.splitlines()
     assert json.loads(out)["products"][0]["terms"] == [{"partition": [], "q": 1, "coeff": 1}]
@@ -568,6 +560,25 @@ def test_qh_table_imports_symfunc_but_not_the_field():
     assert code == 0
     assert "vicalc.symfunc" in modules
     assert "vicalc.cyclotomic" not in modules
+
+
+def test_only_the_spectral_route_loads_the_field():
+    # the fusion oracle's LR route runs on ints and Fractions; the spectral
+    # route evaluates at roots of unity, so it alone loads vicalc.cyclotomic
+    script = (
+        "import json, sys\n"
+        "from vicalc.engine import InvariantQuery\n"
+        "from vicalc.fusion import classes_for_query, correlator_via_spectrum, oracle_value\n"
+        "q = InvariantQuery(n=4, k=2, g=0, e=0, monomial=(1, 1, 1, 1), convention='dual')\n"
+        "lr = oracle_value(q)\n"
+        "loaded = ['vicalc.cyclotomic' in sys.modules]\n"
+        "spectral = correlator_via_spectrum(classes_for_query(q), q.g, q.k, q.n)\n"
+        "loaded.append('vicalc.cyclotomic' in sys.modules)\n"
+        "print(json.dumps([str(lr), str(spectral), loaded]))\n"
+    )
+    proc = fresh_python("-c", script)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == ["2", "2", [False, True]]
 
 
 def test_batch_runs_in_input_order(tmp_path):
@@ -779,6 +790,24 @@ def test_rationals_in_exponent_notation_are_refused(tmp_path):
         2, '{"value":"6","integral":true}\n' * 2,
         "batch line 2: vicalc: error: expected a rational like 1/2, got '1e-100000000'\n"
         "batch line 3: vicalc: error: expected a rational like 1/2, got '1e-5000'\n")
+
+
+def test_a_multiplicity_that_is_not_an_integer_names_the_entry(tmp_path):
+    # int() alone printed "invalid literal for int() with base 10: 'x'"
+    point = ("parabolic-degree", "--rank", "1", "--degree", "0", "--point")
+    for text in ("0:x", "0:1:2", "1/2:"):
+        refusal = "vicalc: error: marked point entry %r has no integer multiplicity\n" % text
+        assert run(*point, text) == (2, "", refusal)
+    # as a batch line: refused, the good lines around it still run
+    good = json.dumps({"subcommand": "vi", "output_format": "json",
+                       "parameters": {"n": 4, "k": 2, "g": 1, "e": 0}})
+    bad = json.dumps({"subcommand": "parabolic-degree",
+                      "parameters": {"rank": 1, "degree": 0, "point": ["0:x"]}})
+    path = tmp_path / "jobs.ndjson"
+    path.write_text("\n".join([good, bad, good]) + "\n")
+    assert run("batch", str(path)) == (
+        2, '{"value":"6","integral":true}\n' * 2,
+        "batch line 2: vicalc: error: marked point entry '0:x' has no integer multiplicity\n")
 
 
 def test_options_are_not_abbreviated():

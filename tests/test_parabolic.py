@@ -73,6 +73,15 @@ def test_rational_text_in_exponent_notation_is_refused():
             read_rational(text)
 
 
+def test_a_multiplicity_that_is_not_an_integer_names_the_entry():
+    for text in ("0:x", "0:1:2", "1/2:", "1/2:1.0"):
+        refusal = "^marked point entry %s has no integer multiplicity$" % re.escape(repr(text))
+        with pytest.raises(ValueError, match=refusal):
+            read_flag(text)
+    # the multiplicities accepted are int()'s, as before
+    assert [read_flag("1/2:" + t)[1] for t in (" 2 ", "+2", "1_0", "-1")] == [2, 2, 10, -1]
+
+
 def test_flag_sum_must_match_rank():
     with pytest.raises(ValueError, match="^marked point multiplicities sum to 3, rank is 2$"):
         ParabolicData(2, 0, ((("0", "1/2"), (1, 2)),))

@@ -18,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vicalc.cli import _execute, _list  # noqa: E402
+from vicalc.cli import _OPTIONS, _execute, _list  # noqa: E402
 from vicalc.engine import (  # noqa: E402
     CONVENTIONS,
     required_weight,
@@ -132,6 +132,13 @@ def test_weights_round_trip_through_the_command_line(ws):
     assert Fraction(row["value"]) == 2 + 3 * sum(ws)
 
 
+def repeats(sub, key):
+    """Whether key names an option that sub's option table row lets repeat:
+    the row has a list default."""
+    name = key.replace("_", "-")
+    return any(row[0] == name and isinstance(row[2], list) for row in _OPTIONS[sub][2])
+
+
 # (subcommand, its other parameters, the list option, one valid-looking entry)
 LIST_OPTIONS = [
     ("vi", {"n": 4, "k": 2, "g": 1, "e": 0}, "monomial", st.integers(1, 2).map(str)),
@@ -160,9 +167,9 @@ def test_an_empty_entry_is_refused_on_the_line_and_in_a_batch(tmp_path_factory, 
         argv += ["--" + key.replace("_", "-"), str(value)]
     code, out, err = _execute(argv + ["--" + option, text])
     assert (code, out) == (2, "") and "empty entry" in err, text
-    # a job's "point" is a list, one --point per item; the other lists are strings
+    # a repeated option's text is one item of a list; the other lists are strings
     job = {"subcommand": sub,
-           "parameters": dict(params, **{option: [text] if option == "point" else text})}
+           "parameters": dict(params, **{option: [text] if repeats(sub, option) else text})}
     path = tmp_path_factory.mktemp("batch") / "jobs.ndjson"
     path.write_text("".join(json.dumps(j) + "\n" for j in (GOOD_JOB, job, GOOD_JOB)))
     code, out, err = _execute(["batch", str(path)])
@@ -176,14 +183,15 @@ def test_an_empty_entry_is_refused_on_the_line_and_in_a_batch(tmp_path_factory, 
 def job_argv(job):
     """The command line a batch job stands for: the format, the convention if
     given, then one option per parameter by key; a list is joined with "," but
-    a "point" list gives one --point per item, and anything else is str()."""
+    gives one option per item where the option repeats, and anything else is
+    str()."""
     argv = [job["subcommand"], "--format", job.get("output_format", "text")]
     if "convention" in job:
         argv += ["--convention", job["convention"]]
     for key, value in sorted(job["parameters"].items()):
         flag = "--" + key.replace("_", "-")
         if isinstance(value, list):
-            if key == "point":
+            if repeats(job["subcommand"], key):
                 for item in value:
                     argv += [flag, str(item)]
             else:
